@@ -54,6 +54,15 @@ BatchItem = Union[
 TargetLike = Union[Target, Callable[[QuantumCircuit], Target], None]
 
 
+#: Revision of the SMT techniques' substitution selection, pinned into
+#: their effective options under :data:`SELECTION_REVISION_KEY`.  Bump it
+#: whenever the selection can pick differently for the same options.
+#: Revision 1 solves small models exactly before falling back to the OMT;
+#: entries persisted without it hold round-capped OMT results.
+SELECTION_REVISION = 1
+SELECTION_REVISION_KEY = "selection_revision"
+
+
 def _effective_options(spec, options: Dict[str, object]) -> Dict[str, object]:
     """Pin defaults that influence results, so the cache key covers them.
 
@@ -61,17 +70,27 @@ def _effective_options(spec, options: Dict[str, object]) -> Dict[str, object]:
     :data:`repro.core.model.DEFAULT_MAX_IMPROVEMENT_ROUNDS` (test fixtures
     and the ``REPRO_MAX_IMPROVEMENT_ROUNDS`` environment variable change
     it).  Resolving it here keeps cached results from outliving a changed
-    default.
+    default.  The same techniques also carry :data:`SELECTION_REVISION`,
+    which is not a user option (:func:`compile` rejects it as input).
     """
     from repro.core.model import DEFAULT_MAX_IMPROVEMENT_ROUNDS
 
     options = dict(options)
-    if (
-        "max_improvement_rounds" in spec.option_names
-        and options.get("max_improvement_rounds") is None
-    ):
-        options["max_improvement_rounds"] = DEFAULT_MAX_IMPROVEMENT_ROUNDS
+    if "max_improvement_rounds" in spec.option_names:
+        if options.get("max_improvement_rounds") is None:
+            options["max_improvement_rounds"] = DEFAULT_MAX_IMPROVEMENT_ROUNDS
+        options[SELECTION_REVISION_KEY] = SELECTION_REVISION
     return options
+
+
+def _user_options(options: Dict[str, object]) -> Dict[str, object]:
+    """Effective options minus the pinned selection revision.
+
+    This is what a worker hands back to :func:`compile` (process-pool
+    batches, service jobs): ``compile`` pins the revision again itself.
+    """
+    return {name: value for name, value in options.items()
+            if name != SELECTION_REVISION_KEY}
 
 
 def compile(
@@ -343,7 +362,8 @@ def _resolve_target(target: TargetLike, circuit: QuantumCircuit,
 def _compile_one(payload):
     """Process-pool worker: compile one (name, circuit, target) entry."""
     name, circuit, target, technique, use_cache, options = payload
-    result = compile(circuit, target, technique, use_cache=use_cache, **options)
+    result = compile(circuit, target, technique, use_cache=use_cache,
+                     **_user_options(options))
     return name, result
 
 

@@ -23,7 +23,9 @@ The adaptation flow follows Fig. 2 of the paper:
 3. **SMT model construction and solving** (:mod:`repro.core.model`): Boolean
    selection variables, block start/duration/fidelity variables and the
    constraints of Eqs. (1)-(6) are handed to the OMT solver with one of the
-   objectives SAT_F (Eq. 8), SAT_R (Eq. 9) or SAT_P (Eq. 10).
+   objectives SAT_F (Eq. 8), SAT_R (Eq. 9) or SAT_P (Eq. 10).  Small models
+   skip the OMT: :mod:`repro.core.exact` enumerates each block's collapsed
+   options and returns the same proven optimum.
 4. **Adaptation extraction** (:mod:`repro.core.adapter`): chosen
    substitutions are applied, remaining foreign gates fall back to the
    reference translation, and the resulting circuit is verified to be
@@ -37,6 +39,7 @@ objective) live in :mod:`repro.core.baselines`.
 from repro.core.rules import Substitution, SubstitutionRule, standard_rules, evaluate_rules
 from repro.core.preprocessing import PreprocessedBlock, PreprocessedCircuit, preprocess
 from repro.core.model import AdaptationModel, ModelSolution, OBJECTIVE_FIDELITY, OBJECTIVE_IDLE, OBJECTIVE_COMBINED
+from repro.core.exact import ExactSolver
 from repro.core.adapter import AdaptationResult, SatAdapter
 from repro.core.baselines import (
     DirectTranslationAdapter,
@@ -54,6 +57,7 @@ __all__ = [
     "preprocess",
     "AdaptationModel",
     "ModelSolution",
+    "ExactSolver",
     "OBJECTIVE_FIDELITY",
     "OBJECTIVE_IDLE",
     "OBJECTIVE_COMBINED",

@@ -267,7 +267,8 @@ class AdaptationModel:
         else:
             # The fidelity objective builds no schedule variables; derive
             # the makespan from the critical path of the dependency graph.
-            starts, total_duration = self._critical_path_schedule(durations)
+            starts, total_duration = critical_path_schedule(
+                self.preprocessed.dependency_graph, durations)
         try:
             objective_value: Optional[float] = float(self._objective_handle.value())
         except RuntimeError:
@@ -279,24 +280,23 @@ class AdaptationModel:
             block_log_fidelities=fidelities,
             block_start_times=starts,
             total_duration=total_duration,
-            statistics=optimizer.statistics(),
+            statistics={"selection": "omt", **optimizer.statistics()},
         )
 
-    # ------------------------------------------------------------------
-    def _critical_path_schedule(
-        self, durations: Dict[int, float]
-    ) -> Tuple[Dict[int, float], float]:
-        """ASAP schedule of the block dependency DAG for solved durations."""
-        graph = self.preprocessed.dependency_graph
-        starts: Dict[int, float] = {}
-        finish: Dict[int, float] = {}
-        for node in nx.topological_sort(graph):
-            start = max((finish[p] for p in graph.predecessors(node)), default=0.0)
-            starts[node] = start
-            finish[node] = start + durations.get(node, 0.0)
-        # Blocks absent from the graph (none in practice) still count.
-        for index, duration in durations.items():
-            if index not in finish:
-                starts[index] = 0.0
-                finish[index] = duration
-        return starts, max(finish.values(), default=0.0)
+
+def critical_path_schedule(
+    graph: nx.DiGraph, durations: Dict[int, float]
+) -> Tuple[Dict[int, float], float]:
+    """ASAP schedule of the block dependency DAG for solved durations."""
+    starts: Dict[int, float] = {}
+    finish: Dict[int, float] = {}
+    for node in nx.topological_sort(graph):
+        start = max((finish[p] for p in graph.predecessors(node)), default=0.0)
+        starts[node] = start
+        finish[node] = start + durations.get(node, 0.0)
+    # Blocks absent from the graph (none in practice) still count.
+    for index, duration in durations.items():
+        if index not in finish:
+            starts[index] = 0.0
+            finish[index] = duration
+    return starts, max(finish.values(), default=0.0)

@@ -20,6 +20,7 @@ from typing import Dict, List, Mapping, Optional
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.unitary import allclose_up_to_global_phase, circuit_unitary
+from repro.core.exact import ExactSolver
 from repro.core.model import AdaptationModel, ModelSolution
 from repro.core.preprocessing import PreprocessedCircuit, preprocess
 from repro.core.rules import (
@@ -32,6 +33,7 @@ from repro.core.rules import (
 from repro.hardware.target import Target
 from repro.synthesis.single_qubit import merge_single_qubit_runs
 from repro.transpiler.cost import CircuitCost, analyze_cost
+from repro.trace.tracer import current_tracer
 from repro.transpiler.routing import route_circuit
 
 #: Maximum circuit width for which the unitary-equivalence check runs.
@@ -94,21 +96,38 @@ class Pass:
 # Substitution-selection strategies (the technique-specific part of `solve`)
 # ---------------------------------------------------------------------------
 class SmtSelection:
-    """Globally optimal selection through the OMT model (SAT_F/R/P)."""
+    """Globally optimal selection of the Eq. 8/9/10 model (SAT_F/R/P).
+
+    Small models are solved exactly by enumeration
+    (:class:`repro.core.exact.ExactSolver`); the rest go to the OMT of
+    :class:`repro.core.model.AdaptationModel`.  One ``solver``-layer span
+    records which path ran and the exact search's size counters.
+    """
 
     def __init__(self, objective: str) -> None:
         self.objective = objective
 
     def __call__(self, context: PassContext) -> None:
-        rounds = context.option("max_improvement_rounds")
-        model = AdaptationModel(
-            context.preprocessed,
-            context.substitutions,
-            objective=self.objective,
-            max_improvement_rounds=rounds,
-            incremental_theory=bool(context.option("incremental_theory", True)),
-        )
-        solution = model.solve()
+        tracer = current_tracer()
+        token = (tracer.begin("select", "solver", objective=self.objective)
+                 if tracer.enabled else None)
+        exact = ExactSolver(context.preprocessed, context.substitutions, self.objective)
+        solution = None
+        try:
+            solution = exact.solve()
+            if solution is None:
+                solution = AdaptationModel(
+                    context.preprocessed,
+                    context.substitutions,
+                    objective=self.objective,
+                    max_improvement_rounds=context.option("max_improvement_rounds"),
+                    incremental_theory=bool(context.option("incremental_theory", True)),
+                ).solve()
+        finally:
+            if token is not None:
+                statistics = solution.statistics if solution is not None else {}
+                tracer.end(token, selection=statistics.get("selection"),
+                           optimality=statistics.get("optimality"), **exact.counters())
         context.solution = solution
         context.chosen = list(solution.chosen_substitutions)
         context.objective_value = solution.objective_value
@@ -284,7 +303,7 @@ class SolvePass(Pass):
     def counters(self, context: PassContext) -> Dict[str, float]:
         counters = {"chosen": float(len(context.chosen))}
         for key in ("improvement_rounds", "theory_checks", "sat_conflicts",
-                    "candidates", "accepted"):
+                    "candidates", "accepted", "options", "combinations", "nodes"):
             value = context.solver_statistics.get(key)
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 counters[key] = float(value)

@@ -46,7 +46,7 @@ from repro.api.cache import (
     uninstall_persistent_store,
 )
 from repro.api.compile import compile as _facade_compile
-from repro.api.compile import _effective_options
+from repro.api.compile import _effective_options, _user_options
 from repro.api.fingerprints import cache_key
 from repro.api.registry import resolve_technique
 from repro.circuits.circuit import QuantumCircuit
@@ -722,7 +722,7 @@ class CompilationService:
                         with budget_scope(job.budget):
                             result = self._compile_fn(
                                 job.circuit, job.target, job.technique,
-                                use_cache=job.use_cache, **job.options,
+                                use_cache=job.use_cache, **_user_options(job.options),
                             )
         except BaseException as error:  # noqa: BLE001 - forwarded to the futures
             cancelled = isinstance(error, CompileCancelled)
@@ -779,7 +779,7 @@ class CompilationService:
             poison = any(spec.action == "die"
                          for spec in maybe_fault("worker.compile"))
             payload = (job.circuit, job.target, job.technique, job.use_cache,
-                       job.options, budget.remaining(), budget.on_deadline,
+                       _user_options(job.options), budget.remaining(), budget.on_deadline,
                        budget.fallback, poison)
             try:
                 future = pool.submit(_compile_in_subprocess, payload)

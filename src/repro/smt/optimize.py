@@ -12,7 +12,9 @@ a constraint requiring a strictly better objective is added.  The loop ends
 when the strengthened problem becomes unsatisfiable; the best recorded model
 is optimal.  Termination follows from the finite number of Boolean
 skeletons, since each iteration rules out every skeleton whose optimum does
-not exceed the recorded value.
+not exceed the recorded value.  A search stopped earlier by the round cap,
+or by an UNKNOWN strengthened check, keeps its best model but is labelled
+as such in ``statistics()["optimality"]``.
 """
 
 from __future__ import annotations
@@ -65,6 +67,11 @@ class Optimize:
         self._max_rounds = max_improvement_rounds
         self._best_model: Optional[Model] = None
         self.improvement_rounds = 0
+        #: How the last objective search ended: ``"proven"`` (the
+        #: strengthened problem became UNSAT), ``"round_cap"`` (the round
+        #: cap stopped it), ``"unknown"`` (a strengthened check returned
+        #: UNKNOWN) or ``"unbounded"``; ``None`` before any search.
+        self.optimality: Optional[str] = None
 
     # ------------------------------------------------------------------
     def add(self, *expressions: Expr) -> None:
@@ -108,6 +115,7 @@ class Optimize:
         budget = current_budget()
         metered = telemetry_enabled()
         rounds_at_entry = self.improvement_rounds
+        self.optimality = None
         omt_token = tracer.begin("omt.optimize", "solver",
                                  sense=self._objective.sense) if traced else None
         try:
@@ -127,6 +135,7 @@ class Optimize:
                     # Unbounded within this skeleton, hence unbounded globally.
                     self._objective.unbounded = True
                     self._best_model = self._solver.model()
+                    self.optimality = "unbounded"
                     return CheckResult.SAT
                 skeleton_best = optimum.value + working_expr.constant
                 bool_values = self._solver.model().bool_values()
@@ -147,12 +156,12 @@ class Optimize:
                 )
                 self._solver.add(improvement)
                 result = self._solver.check()
-                if result == CheckResult.UNSAT:
+                if result != CheckResult.SAT:
+                    self.optimality = ("proven" if result == CheckResult.UNSAT
+                                       else "unknown")
                     self._finalize_objective(best_value)
                     return CheckResult.SAT
-                if result == CheckResult.UNKNOWN:
-                    self._finalize_objective(best_value)
-                    return CheckResult.SAT
+            self.optimality = "round_cap"
             self._finalize_objective(best_value)
             return CheckResult.SAT
         finally:
@@ -181,4 +190,6 @@ class Optimize:
         """Return solver statistics (theory checks/conflicts, SAT counters, OMT rounds)."""
         stats = self._solver.statistics()
         stats["improvement_rounds"] = self.improvement_rounds
+        if self.optimality is not None:
+            stats["optimality"] = self.optimality
         return stats

@@ -109,6 +109,24 @@ class TestCacheKeying:
         assert second.report.cache_hit is False
         assert second.cost == first.cost
 
+    def test_selection_revision_keys_only_the_smt_techniques(self):
+        """Entries persisted by an older selection path are not served."""
+        from repro.api import resolve_technique
+        from repro.api.compile import SELECTION_REVISION, _effective_options
+
+        circuit = swap_circuit()
+        target = spin_qubit_target(2)
+        result = repro.compile(circuit, target, "sat_p")
+        assert result.report.options["selection_revision"] == SELECTION_REVISION
+        stale = {name: value for name, value in result.report.options.items()
+                 if name != "selection_revision"}
+        assert (cache_key(circuit, target, "sat_p", stale)
+                != cache_key(circuit, target, "sat_p", result.report.options))
+        assert "selection_revision" not in _effective_options(
+            resolve_technique("direct"), {})
+        with pytest.raises(TypeError, match="selection_revision"):
+            repro.compile(circuit, target, "sat_p", selection_revision=0)
+
     def test_use_cache_false_bypasses(self):
         circuit = swap_circuit()
         target = spin_qubit_target(2)

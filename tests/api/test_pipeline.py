@@ -93,6 +93,17 @@ class TestReportContents:
         result = repro.compile(probe_circuit(), spin_qubit_target(2), "sat_f",
                                use_cache=False)
         counters = result.report.stage("solve").counters
+        assert counters["options"] >= 1
+        assert counters["nodes"] >= 1
+
+    def test_omt_counters_surface_in_solve_stage(self, monkeypatch):
+        from repro.core import exact
+
+        # Every SAT_P model is above a zero limit, so the OMT runs.
+        monkeypatch.setattr(exact, "MAX_COMBINATIONS", 0)
+        result = repro.compile(probe_circuit(), spin_qubit_target(2), "sat_p",
+                               use_cache=False)
+        counters = result.report.stage("solve").counters
         assert counters["improvement_rounds"] >= 1
         assert counters["theory_checks"] >= 1
 

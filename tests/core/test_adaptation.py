@@ -103,8 +103,20 @@ class TestSatTechniques:
         circuit = ghz_circuit(3)
         target = spin_qubit_target(3)
         result = repro.compile(circuit, target, "sat_f")
-        assert "theory_checks" in result.statistics
+        assert result.statistics["selection"] == "exact"
+        assert result.statistics["optimality"] == "proven"
         assert result.objective_value is not None
+
+    def test_omt_statistics_populated(self):
+        circuit = ghz_circuit(3)
+        target = spin_qubit_target(3)
+        preprocessed = preprocess(circuit, target)
+        solution = AdaptationModel(
+            preprocessed, evaluate_rules(preprocessed, standard_rules()),
+            objective=OBJECTIVE_FIDELITY).solve()
+        assert "theory_checks" in solution.statistics
+        assert solution.statistics["selection"] == "omt"
+        assert solution.objective_value is not None
 
 
 class TestModelSolutionSerialization:

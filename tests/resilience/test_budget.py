@@ -166,6 +166,18 @@ class TestCompileDeadlines:
 
     def test_cancel_interrupts_a_running_solve(self):
         """A long SAT solve unwinds within moments of a cross-thread cancel."""
+        from repro.core import ExactSolver, evaluate_rules, preprocess, standard_rules
+        from repro.core.exact import MAX_COMBINATIONS
+        from repro.pipeline.passes import route_if_needed
+
+        # The input must stay too large for exact enumeration, or the
+        # solve is over before the cancel arrives.
+        target = spin_qubit_target(4, "D0")
+        preprocessed = preprocess(route_if_needed(qft_circuit(4), target), target)
+        search = ExactSolver(preprocessed, evaluate_rules(preprocessed, standard_rules()),
+                             "combined")
+        assert search.solve() is None
+        assert search.combinations > MAX_COMBINATIONS
         budget = Budget()
         caught = []
 

@@ -144,8 +144,14 @@ class TestSummarize:
                 f"{stage}: trace {traced:.6f}s vs report {reported:.6f}s"
             )
 
-    def test_solver_rollup_accumulates_sampled_deltas(self, traced_compile):
-        path, _ = traced_compile
+    def test_solver_rollup_accumulates_sampled_deltas(self, tmp_path, monkeypatch):
+        from repro.core import exact
+
+        # The OMT emits the omt.round events; a zero limit routes SAT_P to it.
+        monkeypatch.setattr(exact, "MAX_COMBINATIONS", 0)
+        path = str(tmp_path / "omt.jsonl")
+        repro.compile(ghz_circuit(3), spin_qubit_target(3, "D0"), "sat_p",
+                      use_cache=False, trace=path)
         solver = summarize(load_events(path))["solver"]
         rounds = solver.get("omt.round", {})
         assert rounds.get("count", 0) >= 1

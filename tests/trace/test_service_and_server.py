@@ -1,6 +1,10 @@
 """Tracing through the async service and the HTTP gateway, plus job timing."""
 
+import threading
+
 import pytest
+
+import repro
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.server import ReproClient, build_server
@@ -44,15 +48,22 @@ class TestServiceTracing:
         """Acceptance: concurrent traced jobs yield non-interleaved,
         correctly-parented spans."""
         path = str(tmp_path / "service.jsonl")
-        service = CompilationService(workers=2, trace=path)
+        # Each job waits at the barrier until the other one runs too, so
+        # the pair overlaps on the two workers however fast sat_p is.
+        both_running = threading.Barrier(2, timeout=60)
+
+        def overlapping_compile(*args, **kwargs):
+            both_running.wait()
+            return repro.compile(*args, **kwargs)
+
+        service = CompilationService(workers=2, trace=path,
+                                     compile_fn=overlapping_compile)
         target = spin_qubit_target(3, "D0")
         try:
             tracer = current_tracer()
             submit_spans = {}
             handles = []
             for index in range(2):
-                # sat_p keeps each job busy long enough that the pair
-                # genuinely overlaps on the two workers.
                 with tracer.span("submit", "api", index=index) as span_id:
                     handle = service.submit(
                         _distinct_circuit(index), target, "sat_p",
@@ -149,7 +160,12 @@ class TestServerTracing:
         assert {"server", "service", "api", "pipeline", "solver"} <= set(
             summary["layers"])
         assert any(key.startswith("pipeline:pass:") for key in summary["stages"])
-        assert summary["solver"]  # OMT/SMT point events made it through
+        # The worker's selection span made it through, with its counters.
+        select = [e for e in events
+                  if e["kind"] == "end" and e["name"] == "select"]
+        assert len(select) == 1
+        assert select[0]["fields"]["selection"] == "exact"
+        assert select[0]["fields"]["nodes"] >= 1
 
     def test_job_status_payload_carries_timing(self, traced_server):
         server, _ = traced_server
