@@ -66,9 +66,8 @@ def main(argv=None) -> int:
         )
     smt = report["smt"]
     print(
-        f"smt {smt['instance']}: incremental "
-        f"{1e3 * smt['modes']['incremental']['seconds']:.2f} ms vs legacy "
-        f"{1e3 * smt['modes']['legacy_rebuild']['seconds']:.2f} ms ({smt['speedup']:.2f}x)"
+        f"smt {smt['instance']}: {1e3 * smt['seconds']:.2f} ms "
+        f"({smt['improvement_rounds']} rounds, {smt['theory_pivots']} pivots)"
     )
     sat = report["sat"]
     print(
@@ -83,7 +82,8 @@ def main(argv=None) -> int:
         f"enabled {trace['enabled_overhead_percent']:+.1f}% "
         f"({trace['events_per_compile']:.0f} events/compile), "
         f"disabled ~{trace['disabled_overhead_percent']:.3f}% "
-        f"({trace['disabled_hook_ns']:.0f} ns/hook)"
+        f"({trace['disabled_hook_ns']:.0f} ns/hook, "
+        f"probe {trace['probe_hook_ns']:.0f} ns)"
     )
     telemetry = report["telemetry"]
     print(
@@ -101,13 +101,6 @@ def main(argv=None) -> int:
         f"budgeted compile {resilience['budgeted_overhead_percent']:+.1f}%, "
         f"degrade roundtrip {1e3 * resilience['degrade_roundtrip_seconds']:.0f} ms"
     )
-    for row in report["theory_engine_ab"]:
-        inc = row["modes"]["incremental"]["solve_seconds"]
-        leg = row["modes"]["legacy_rebuild"]["solve_seconds"]
-        print(
-            f"solve-stage {row['workload']}: incremental {1e3 * inc:.2f} ms vs "
-            f"legacy {1e3 * leg:.2f} ms ({row['solve_speedup']:.2f}x)"
-        )
     qasm_suite = report["suite"]
     print(
         f"suite [{qasm_suite['technique']}] {qasm_suite['benchmarks']} bundled "

@@ -1,8 +1,8 @@
 """Perf-benchmark suite: simulation kernels, SAT, SMT, end-to-end compile.
 
 Every benchmark returns a JSON-serializable dict with wall times in
-seconds and, where a legacy baseline exists, the measured
-``speedup`` (baseline time / new time).  The suite is preset-driven:
+seconds and, where a baseline exists, the measured ``speedup``
+(baseline time / new time).  The suite is preset-driven:
 
 * ``smoke`` — tiny sizes, runs in well under a minute (CI perf-smoke job);
 * ``full``  — the sizes quoted in the README performance section.
@@ -236,35 +236,27 @@ def _build_scheduling_omt(opt: Optimize, chain: int):
 
 
 def bench_smt(preset: Dict) -> Dict:
-    """Incremental vs rebuild-per-check theory engine on an OMT workload."""
+    """The incremental theory engine on a guarded-scheduling OMT workload."""
     chain = preset["smt_chain"]
-    results: Dict[str, Dict] = {}
-    for mode, incremental in (("incremental", True), ("legacy_rebuild", False)):
-        def solve() -> None:
-            opt = Optimize(incremental_theory=incremental)
-            handle = _build_scheduling_omt(opt, chain)
-            assert opt.check() == CheckResult.SAT
-            handle.value()
 
-        seconds = _best_of(solve, preset["repeats"])
-        opt = Optimize(incremental_theory=incremental)
+    def solve() -> None:
+        opt = Optimize()
         handle = _build_scheduling_omt(opt, chain)
-        opt.check()
-        stats = opt.statistics()
-        results[mode] = {
-            "seconds": seconds,
-            "optimum": str(handle.value()),
-            "theory_checks": stats["theory_checks"],
-            "theory_pivots": stats["theory_pivots"],
-            "improvement_rounds": stats["improvement_rounds"],
-        }
-    legacy = results["legacy_rebuild"]["seconds"]
-    fast = results["incremental"]["seconds"]
-    assert results["incremental"]["optimum"] == results["legacy_rebuild"]["optimum"]
+        assert opt.check() == CheckResult.SAT
+        handle.value()
+
+    seconds = _best_of(solve, preset["repeats"])
+    opt = Optimize()
+    handle = _build_scheduling_omt(opt, chain)
+    opt.check()
+    stats = opt.statistics()
     return {
         "instance": f"guarded_chain_{chain}",
-        "modes": results,
-        "speedup": legacy / fast if fast > 0 else float("inf"),
+        "seconds": seconds,
+        "optimum": str(handle.value()),
+        "theory_checks": stats["theory_checks"],
+        "theory_pivots": stats["theory_pivots"],
+        "improvement_rounds": stats["improvement_rounds"],
     }
 
 
@@ -298,53 +290,6 @@ def bench_compile(preset: Dict) -> List[Dict]:
     return rows
 
 
-def bench_theory_engine_ab(preset: Dict) -> List[Dict]:
-    """Incremental vs legacy theory engine on real adaptation workloads.
-
-    Times the SAT_P OMT (``AdaptationModel.solve``, model build included)
-    with both theory engines.  ``repro.compile`` would solve these small
-    models by exact enumeration and time neither engine, so the model is
-    solved directly; results are optimum-identical (asserted), only the
-    solver wall time differs.  ``seconds`` adds the preprocessing and rule
-    evaluation that feed the model.
-    """
-    from repro.core import AdaptationModel, OBJECTIVE_COMBINED, evaluate_rules, preprocess
-    from repro.pipeline.passes import route_if_needed
-
-    rows: List[Dict] = []
-    for name, build in preset["compile_workloads"]:
-        circuit = build()
-        target = spin_qubit_target(max(4, circuit.num_qubits))
-        timings: Dict[str, Dict] = {}
-        objective_values = set()
-        for mode, incremental in (("incremental", True), ("legacy_rebuild", False)):
-            start = time.perf_counter()
-            preprocessed = preprocess(route_if_needed(circuit, target), target)
-            substitutions = evaluate_rules(preprocessed)
-            solve_start = time.perf_counter()
-            solution = AdaptationModel(
-                preprocessed, substitutions, objective=OBJECTIVE_COMBINED,
-                incremental_theory=incremental,
-            ).solve()
-            finished = time.perf_counter()
-            timings[mode] = {
-                "seconds": finished - start,
-                "solve_seconds": finished - solve_start,
-                "theory_checks": int(solution.statistics.get("theory_checks", 0)),
-            }
-            objective_values.add(solution.objective_value)
-        assert len(objective_values) == 1, "theory engines disagree on the optimum"
-        legacy = timings["legacy_rebuild"]["solve_seconds"]
-        fast = timings["incremental"]["solve_seconds"]
-        rows.append({
-            "workload": name,
-            "technique": "sat_p",
-            "modes": timings,
-            "solve_speedup": legacy / fast if fast > 0 else float("inf"),
-        })
-    return rows
-
-
 def bench_trace(preset: Dict) -> Dict:
     """Tracing overhead: traced vs untraced compile of the same workload.
 
@@ -357,10 +302,14 @@ def bench_trace(preset: Dict) -> Dict:
       hooks when tracing is off: the measured per-call cost of the
       disabled fast path times the number of events a traced compile
       emits, relative to the untraced compile time.
+
+    ``probe_hook_ns`` is the disabled cost of :func:`repro.probe.current_probe`,
+    the one hook the solvers and the pass manager call per call.
     """
     import os
     import tempfile
 
+    from repro.probe import current_probe
     from repro.trace import load_events
     from repro.trace.tracer import current_tracer
 
@@ -381,6 +330,10 @@ def bench_trace(preset: Dict) -> Dict:
     for _ in range(probe_calls):
         current_tracer()
     disabled_hook_ns = 1e9 * (time.perf_counter() - start) / probe_calls
+    start = time.perf_counter()
+    for _ in range(probe_calls):
+        current_probe()
+    probe_hook_ns = 1e9 * (time.perf_counter() - start) / probe_calls
 
     handle, path = tempfile.mkstemp(suffix=".jsonl", prefix="repro-bench-trace-")
     os.close(handle)
@@ -405,6 +358,7 @@ def bench_trace(preset: Dict) -> Dict:
         ),
         "events_per_compile": events_per_compile,
         "disabled_hook_ns": disabled_hook_ns,
+        "probe_hook_ns": probe_hook_ns,
         "disabled_overhead_percent": (
             100.0 * disabled_estimate / untraced if untraced > 0 else 0.0
         ),
@@ -481,12 +435,13 @@ def bench_telemetry(preset: Dict) -> Dict:
 def bench_resilience(preset: Dict) -> Dict:
     """Deadline-checkpoint overhead: disabled hook cost + degrade timing.
 
-    The budget checkpoints (:func:`repro.resilience.check_budget`) sit
-    on the SAT conflict loop, the SMT theory-check loop, the OMT rounds
-    and every pipeline-pass boundary — i.e. the same hot paths as the
-    trace hooks.  The contract is that a *disabled* checkpoint (no
-    budget installed, the overwhelmingly common case) costs no more
-    than ~2x the disabled trace hook.
+    A budget in scope is a :mod:`repro.probe` subscriber, charged at
+    the SAT conflicts, SMT theory checks, OMT rounds, exact-search node
+    batches and pipeline-pass boundaries; with none in scope the solvers
+    see no probe.  The contract is that a *disabled*
+    :func:`repro.resilience.check_budget` (no budget installed, the
+    overwhelmingly common case) costs no more than ~2x the disabled
+    trace hook.
     """
     from repro.resilience.budget import Budget, budget_scope, check_budget
     from repro.trace.tracer import current_tracer
@@ -679,7 +634,6 @@ def run_suite(preset_name: str) -> Dict:
         "trace": bench_trace(preset),
         "telemetry": bench_telemetry(preset),
         "resilience": bench_resilience(preset),
-        "theory_engine_ab": bench_theory_engine_ab(preset),
         "service": bench_service(preset),
         "suite": bench_qasm_suite(preset),
     }

@@ -1,9 +1,10 @@
 """Fast perf-harness smoke test (runs in the default tier and in CI).
 
 Executes the ``smoke`` preset end to end and checks the report invariants
-that gate the perf trajectory: the JSON is serializable, the kernel paths
-beat (or match) the dense baselines where promised, and both theory
-engines agree on every optimum.
+that gate the perf trajectory: the JSON is serializable and the kernel
+paths beat (or match) the dense baselines where promised.  OMT optima are
+checked against a brute-force oracle in
+``tests/smt/test_incremental_theory.py``.
 """
 
 import json
@@ -22,19 +23,6 @@ def test_perf_smoke_suite(tmp_path):
     # Acceptance criterion: >= 10x on 10-qubit statevector simulation.
     ten_qubit = [row for row in report["statevector"] if row["num_qubits"] == 10]
     assert ten_qubit and ten_qubit[0]["speedup"] >= 10
-
-    # Both theory engines must agree on the OMT optimum, and the
-    # incremental engine must not do more theory work than the legacy one.
-    smt = report["smt"]
-    modes = smt["modes"]
-    assert modes["incremental"]["optimum"] == modes["legacy_rebuild"]["optimum"]
-    assert modes["incremental"]["theory_checks"] <= modes["legacy_rebuild"]["theory_checks"]
-
-    # The end-to-end A/B on the adaptation workload agreed on the optimum
-    # (asserted inside the bench) and recorded solve-stage times.
-    for row in report["theory_engine_ab"]:
-        assert row["modes"]["incremental"]["solve_seconds"] > 0
-        assert row["modes"]["legacy_rebuild"]["solve_seconds"] > 0
 
     # Stage timings from the pipeline report are present for every compile.
     for row in report["compile"]:

@@ -207,7 +207,7 @@ def _standard_pipeline(
 
 
 def _register_builtins() -> None:
-    sat_options = ("rules", "max_improvement_rounds", "incremental_theory")
+    sat_options = ("rules", "max_improvement_rounds")
     register_technique(
         "sat_f",
         lambda: _standard_pipeline("sat_f", sat_rules, SmtSelection("fidelity")),

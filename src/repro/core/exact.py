@@ -46,7 +46,7 @@ from repro.core.model import (
 )
 from repro.core.preprocessing import PreprocessedCircuit
 from repro.core.rules import Substitution
-from repro.resilience.budget import check_budget
+from repro.probe import current_probe
 from repro.smt.rational import to_fraction
 from repro.transpiler.basis import translate_instruction_to_cz
 
@@ -57,8 +57,8 @@ from repro.transpiler.basis import translate_instruction_to_cz
 MAX_COMBINATIONS = 100_000
 #: Largest number of Eq. (1)-respecting subsets enumerated in one block.
 MAX_BLOCK_SUBSETS = 4_096
-#: Search nodes between two budget checkpoints.
-BUDGET_STRIDE = 512
+#: Search nodes between two ``exact_nodes`` probe milestones.
+NODE_BATCH = 512
 #: ``combinations`` saturates here, so the counter stays a 64-bit integer.
 COUNTER_CEILING = 2 ** 63 - 1
 
@@ -181,7 +181,9 @@ class ExactSolver:
     # ------------------------------------------------------------------
     def solve(self) -> Optional[ModelSolution]:
         """Solve exactly, or return ``None`` to defer to the OMT."""
-        check_budget("exact.search")
+        probe = current_probe()
+        if probe is not None:
+            probe.exact_nodes(0)
         blocks = self.preprocessed.blocks
         schedules = self.objective != OBJECTIVE_FIDELITY
         if schedules and not blocks:
@@ -204,7 +206,7 @@ class ExactSolver:
         if schedules:
             if self.combinations > MAX_COMBINATIONS:
                 return None
-            picks = self._search(options)
+            picks = self._search(options, probe)
         else:
             picks = {index: min(choices, key=lambda o: (-o.log_fidelity, o.duration,
                                                         o.gates, o.ids))
@@ -220,7 +222,7 @@ class ExactSolver:
         ordered.extend(b.index for b in self.preprocessed.blocks if b.index not in seen)
         return ordered
 
-    def _search(self, options: Dict[int, List[_Option]]) -> Dict[int, _Option]:
+    def _search(self, options: Dict[int, List[_Option]], probe) -> Dict[int, _Option]:
         """Branch and bound over the option product (SAT_R / SAT_P).
 
         With ``T`` the coherence time, ``T * objective`` is the sum of
@@ -291,8 +293,8 @@ class ExactSolver:
             # branching blocks (at most log2(MAX_COMBINATIONS)).
             while True:
                 self.nodes += 1
-                if self.nodes % BUDGET_STRIDE == 0:
-                    check_budget("exact.search")
+                if probe is not None and self.nodes % NODE_BATCH == 0:
+                    probe.exact_nodes(self.nodes)
                 if slot == depth:
                     leaf(weight, makespan)
                     return

@@ -117,7 +117,6 @@ class AdaptationModel:
         substitutions: Sequence[Substitution],
         objective: str = OBJECTIVE_COMBINED,
         max_improvement_rounds: Optional[int] = None,
-        incremental_theory: bool = True,
     ) -> None:
         if objective not in _OBJECTIVES:
             raise ValueError(f"objective must be one of {_OBJECTIVES}")
@@ -125,7 +124,6 @@ class AdaptationModel:
         self.substitutions = list(substitutions)
         self.objective = objective
         self.max_improvement_rounds = max_improvement_rounds
-        self.incremental_theory = incremental_theory
         self._optimizer: Optional[Optimize] = None
 
     # ------------------------------------------------------------------
@@ -136,10 +134,7 @@ class AdaptationModel:
             if self.max_improvement_rounds is not None
             else DEFAULT_MAX_IMPROVEMENT_ROUNDS
         )
-        optimizer = Optimize(
-            max_improvement_rounds=rounds,
-            incremental_theory=self.incremental_theory,
-        )
+        optimizer = Optimize(max_improvement_rounds=rounds)
         blocks = self.preprocessed.blocks
         coherence_time = self.preprocessed.target.t2
 

@@ -18,11 +18,7 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.hardware.target import Target
 from repro.pipeline.passes import Pass, PassContext
 from repro.pipeline.report import CompilationReport, PassStats
-from repro.resilience.budget import check_budget
-from repro.telemetry.registry import telemetry_enabled
-from repro.telemetry.resources import resource_usage
-from repro.trace.metrics import observe_pass
-from repro.trace.tracer import current_tracer
+from repro.probe import current_probe
 
 
 class Pipeline:
@@ -129,46 +125,27 @@ class Pipeline:
                 target_fingerprint="",
                 options=dict(options or {}),
             )
-        tracer = current_tracer()
-        pipeline_token = None
-        if tracer.enabled:
-            pipeline_token = tracer.begin(
-                "pipeline", "pipeline",
-                technique=technique, circuit=circuit.name,
-                gates_in=len(circuit.instructions),
-            )
-        usage_start = resource_usage() if telemetry_enabled() else None
+        probe = current_probe()
+        if probe is not None:
+            probe.pipeline_begin(technique, circuit)
         try:
             for pass_ in self._passes:
-                # Pass boundaries are deadline checkpoints too, so
-                # budgets fire for every technique — including those
-                # whose passes never enter a solver loop.
-                check_budget(f"pass:{pass_.name}")
-                pass_token = (
-                    tracer.begin(f"pass:{pass_.name}", "pipeline")
-                    if tracer.enabled else None
-                )
+                # Pass boundaries are milestones too, so deadlines fire
+                # for every technique — including those whose passes
+                # never enter a solver loop.
+                if probe is not None:
+                    probe.pass_begin(pass_.name)
                 started = time.perf_counter()
                 pass_.run(context)
                 elapsed = time.perf_counter() - started
                 counters = dict(pass_.counters(context))
                 report.stages.append(PassStats(pass_.name, elapsed, counters))
-                observe_pass(pass_.name, elapsed)
-                if pass_token is not None:
-                    tracer.end(pass_token, **counters)
-            if usage_start is not None:
-                cpu_end, rss_end = resource_usage()
-                report.resources = {
-                    "cpu_seconds": max(0.0, cpu_end - usage_start[0]),
-                    "peak_rss_bytes": float(rss_end),
-                }
-            result = self._finalize(context, report)
+                if probe is not None:
+                    probe.pass_end(pass_.name, elapsed, counters)
+            return self._finalize(context, report)
         finally:
-            if pipeline_token is not None:
-                gates_out = (len(context.adapted.instructions)
-                             if context.adapted is not None else None)
-                tracer.end(pipeline_token, gates_out=gates_out)
-        return result
+            if probe is not None:
+                probe.pipeline_end(report, context.adapted)
 
     @staticmethod
     def _finalize(context: PassContext, report: CompilationReport):

@@ -31,9 +31,9 @@ from repro.core.rules import (
     standard_rules,
 )
 from repro.hardware.target import Target
+from repro.probe import current_probe
 from repro.synthesis.single_qubit import merge_single_qubit_runs
 from repro.transpiler.cost import CircuitCost, analyze_cost
-from repro.trace.tracer import current_tracer
 from repro.transpiler.routing import route_circuit
 
 #: Maximum circuit width for which the unitary-equivalence check runs.
@@ -108,9 +108,9 @@ class SmtSelection:
         self.objective = objective
 
     def __call__(self, context: PassContext) -> None:
-        tracer = current_tracer()
-        token = (tracer.begin("select", "solver", objective=self.objective)
-                 if tracer.enabled else None)
+        probe = current_probe()
+        if probe is not None:
+            probe.select_begin(self.objective)
         exact = ExactSolver(context.preprocessed, context.substitutions, self.objective)
         solution = None
         try:
@@ -121,13 +121,13 @@ class SmtSelection:
                     context.substitutions,
                     objective=self.objective,
                     max_improvement_rounds=context.option("max_improvement_rounds"),
-                    incremental_theory=bool(context.option("incremental_theory", True)),
                 ).solve()
         finally:
-            if token is not None:
+            if probe is not None:
                 statistics = solution.statistics if solution is not None else {}
-                tracer.end(token, selection=statistics.get("selection"),
-                           optimality=statistics.get("optimality"), **exact.counters())
+                probe.select_end({"selection": statistics.get("selection"),
+                                  "optimality": statistics.get("optimality"),
+                                  **exact.counters()})
         context.solution = solution
         context.chosen = list(solution.chosen_substitutions)
         context.objective_value = solution.objective_value

@@ -3,24 +3,23 @@
 A :class:`Budget` bounds one compilation by wall-clock time and/or by
 solver work (SAT conflicts, simplex pivots, OMT improvement rounds).  It
 is carried through the stack by a context variable — installed with
-:func:`budget_scope` around a compile and consulted at the solver
-hot-loop checkpoints (the same sites the tracer instruments): every SAT
-conflict, every SMT theory check, every OMT improvement round, and every
-pipeline pass boundary.  When the budget is exhausted the checkpoint
-raises a typed :class:`CompileDeadlineExceeded` that unwinds cleanly
-through the pipeline (every span and lock in the stack releases via
-``finally``), so callers get a catchable exception instead of a runaway
-solve.
+:func:`budget_scope` around a compile — and subscribes to the
+:mod:`repro.probe` milestones of the solvers: every SAT conflict, every
+SMT theory check, every OMT improvement round, every exact-search node
+batch, and every pipeline pass boundary.  When the budget is exhausted
+the checkpoint raises a typed :class:`CompileDeadlineExceeded` that
+unwinds cleanly through the pipeline (every span and lock in the stack
+releases via ``finally``), so callers get a catchable exception instead
+of a runaway solve.
 
 Cancellation rides the same flag: :meth:`Budget.cancel` can be called
 from *any* thread (the scheduler does, when every waiter of a running
 job has given up) and the next checkpoint in the compiling thread raises
 :class:`CompileCancelled`.
 
-The disabled fast path mirrors :mod:`repro.trace.tracer`: a module-level
-boolean guards the context-variable lookup, so :func:`check_budget`
-costs a few tens of nanoseconds when no budget is in scope — cheap
-enough to call once per SAT conflict.
+With no budget in scope the solvers see no probe at all; for other
+callers a module-level boolean guards the context-variable lookup, so
+:func:`check_budget` costs a few tens of nanoseconds.
 """
 
 from __future__ import annotations
@@ -30,6 +29,8 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
+
+from repro.probe import Probe, attach, detach
 
 
 class CompileInterrupted(RuntimeError):
@@ -82,7 +83,7 @@ ON_DEADLINE_MODES: Tuple[str, ...] = ("raise", "degrade")
 FallbackSpec = Union[None, bool, str, Sequence[str]]
 
 
-class Budget:
+class Budget(Probe):
     """A cooperative bound on one compilation.
 
     Parameters
@@ -262,6 +263,22 @@ class Budget:
         """Enforce the budget without charging any work."""
         self.charge(checkpoint)
 
+    # -- probe milestones (checkpoint names are part of the API) ---------
+    def sat_conflict(self, solver) -> None:
+        self.charge("sat.conflict", conflicts=1)
+
+    def theory_check(self, counters, consistent: bool, pivots: int) -> None:
+        self.charge("smt.check", pivots=pivots)
+
+    def omt_round(self, rounds: int, best) -> None:
+        self.charge("omt.round", rounds=1)
+
+    def exact_nodes(self, nodes: int) -> None:
+        self.charge("exact.search")
+
+    def pass_begin(self, name: str) -> None:
+        self.charge(f"pass:{name}")
+
     def as_dict(self) -> Dict[str, object]:
         """A compact JSON-serializable summary (for events and status)."""
         payload: Dict[str, object] = {}
@@ -300,6 +317,10 @@ _ACTIVE_COUNT = 0
 _ACTIVE_LOCK = threading.Lock()
 
 
+#: The probe source: the budget in scope is the probe of its context.
+_scoped_budget = _SCOPE.get
+
+
 def current_budget() -> Optional[Budget]:
     """The budget in scope for this context, or ``None``."""
     if not _ACTIVE:
@@ -309,11 +330,10 @@ def current_budget() -> Optional[Budget]:
 
 def check_budget(checkpoint: str = "checkpoint", conflicts: int = 0,
                  pivots: int = 0, rounds: int = 0) -> None:
-    """The hot-loop hook: enforce the ambient budget, if any.
+    """Enforce the ambient budget, if any.
 
     ~40 ns when no budget is in scope anywhere in the process (one
-    module-global boolean test), so solver loops can call it per
-    conflict/check/round without measurable overhead.
+    module-global boolean test).
     """
     if not _ACTIVE:
         return
@@ -340,9 +360,11 @@ def budget_scope(budget: Optional[Budget]) -> Iterator[Optional[Budget]]:
     with _ACTIVE_LOCK:
         _ACTIVE_COUNT += 1
         _ACTIVE = True
+    attach(_scoped_budget)
     try:
         yield budget
     finally:
+        detach(_scoped_budget)
         with _ACTIVE_LOCK:
             _ACTIVE_COUNT -= 1
             _ACTIVE = _ACTIVE_COUNT > 0

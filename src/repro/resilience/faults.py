@@ -29,7 +29,8 @@ site                actions                 effect
 Counting is per-process and thread-safe, so a plan like *"kill the
 worker on its 3rd compile"* or *"abort the 5th HTTP response"* is
 exactly reproducible.  When no plan is installed every hook is a single
-``None`` test.
+``None`` test.  The solver site is reached through :mod:`repro.probe`:
+an installed plan is the probe of every context.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+from repro.probe import Probe, attach, detach
 
 #: Environment variable holding a fault plan: inline JSON (a list of
 #: spec objects) or a path to a JSON file.  Inherited by spawned shard
@@ -114,7 +117,7 @@ class FaultSpec:
 PlanLike = Union["FaultPlan", str, Sequence[Union[FaultSpec, Dict[str, object]]]]
 
 
-class FaultPlan:
+class FaultPlan(Probe):
     """An ordered set of fault specs with per-site hit counting."""
 
     def __init__(self, specs: Sequence[Union[FaultSpec, Dict[str, object]]]) -> None:
@@ -185,6 +188,9 @@ class FaultPlan:
                 remaining.append(spec)
         return remaining
 
+    def sat_conflict(self, solver) -> None:
+        self.delay("sat.conflict")
+
     def hits(self) -> Dict[str, int]:
         """Per-site hit counts so far (a snapshot)."""
         with self._lock:
@@ -215,6 +221,8 @@ def install_fault_plan(plan: PlanLike) -> FaultPlan:
         resolved = FaultPlan.from_json(plan)
     else:
         resolved = FaultPlan(plan)
+    if _PLAN is None:
+        attach(active_fault_plan)
     _PLAN = resolved
     return resolved
 
@@ -222,6 +230,8 @@ def install_fault_plan(plan: PlanLike) -> FaultPlan:
 def clear_fault_plan() -> None:
     """Deactivate fault injection."""
     global _PLAN
+    if _PLAN is not None:
+        detach(active_fault_plan)
     _PLAN = None
 
 
@@ -254,6 +264,8 @@ def _load_env_plan() -> Optional[FaultPlan]:
 
 
 _PLAN = _load_env_plan()
+if _PLAN is not None:
+    attach(active_fault_plan)
 
 # A forked child starts its own hit counting: "kill the worker on its
 # 3rd compile" means the 3rd compile in *that* process.

@@ -23,16 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.resilience.budget import current_budget
-from repro.resilience.faults import active_fault_plan
-from repro.telemetry.instruments import record_sat_progress
-from repro.telemetry.registry import telemetry_enabled
-from repro.trace.tracer import current_tracer
-
-#: Conflict-count granularity of the sampled ``sat.conflicts`` trace
-#: events: one milestone event per this many conflicts keeps traces
-#: bounded on conflict-heavy instances.
-TRACE_CONFLICT_MILESTONE = 512
+from repro.probe import current_probe
 
 
 class SolverResult(Enum):
@@ -526,6 +517,11 @@ class Solver:
     # ------------------------------------------------------------------
     # Main search
     # ------------------------------------------------------------------
+    @property
+    def num_learned(self) -> int:
+        """Learned clauses currently held in the clause database."""
+        return len(self._learned)
+
     def solve(self, assumptions: Sequence[int] = ()) -> bool:
         """Solve the current formula under the given assumptions.
 
@@ -551,21 +547,11 @@ class Solver:
             self._ok = False
             return SolverResult.UNSAT
 
-        # One flag read when tracing is off; milestone-sampled events when on.
-        tracer = current_tracer()
-        traced = tracer.enabled
-        # The ambient compile budget (deadline/cancellation) and fault
-        # plan are likewise fetched once per solve; the per-conflict cost
-        # in the common case is a single `is not None` test each.
-        budget = current_budget()
-        fault_plan = active_fault_plan()
-        # Telemetry mirrors the tracing discipline: the flag is read once
-        # per solve, deltas flush at the same conflict milestones (live
-        # rates during long solves) and once more on exit.
-        metered = telemetry_enabled()
-        stats = self.statistics
-        flushed = (stats.conflicts, stats.propagations, stats.decisions,
-                   stats.restarts)
+        # Observers see the search through one probe; None (the common
+        # case) costs one test per conflict.
+        probe = current_probe()
+        if probe is not None:
+            probe.sat_begin(self)
 
         internal_assumptions = [self._lit_to_internal(lit) for lit in assumptions]
         conflicts_since_restart = 0
@@ -599,53 +585,23 @@ class Solver:
                     ):
                         self._backtrack(0)
                         return SolverResult.UNKNOWN
-                    if budget is not None:
-                        budget.charge("sat.conflict", conflicts=1)
-                    if fault_plan is not None:
-                        fault_plan.delay("sat.conflict")
-                    if traced and self.statistics.conflicts % TRACE_CONFLICT_MILESTONE == 0:
-                        tracer.event(
-                            "sat.conflicts", "solver",
-                            d_conflicts=TRACE_CONFLICT_MILESTONE,
-                            conflicts=self.statistics.conflicts,
-                            learned=len(self._learned),
-                            decisions=self.statistics.decisions,
-                        )
-                    if metered and stats.conflicts % TRACE_CONFLICT_MILESTONE == 0:
-                        record_sat_progress(
-                            conflicts=stats.conflicts - flushed[0],
-                            propagations=stats.propagations - flushed[1],
-                            decisions=stats.decisions - flushed[2],
-                            restarts=stats.restarts - flushed[3],
-                            learned=len(self._learned),
-                        )
-                        flushed = (stats.conflicts, stats.propagations,
-                                   stats.decisions, stats.restarts)
+                    if probe is not None:
+                        probe.sat_conflict(self)
                     if conflicts_since_restart >= restart_limit:
                         self.statistics.restarts += 1
                         restart_index += 1
                         restart_limit = self._restart_base * luby(restart_index)
                         conflicts_since_restart = 0
                         self._backtrack(len(self._assumption_levels))
-                        if traced:
-                            tracer.event(
-                                "sat.restart", "solver",
-                                d_restarts=1,
-                                restarts=self.statistics.restarts,
-                                conflicts=self.statistics.conflicts,
-                                next_limit=restart_limit,
-                            )
+                        if probe is not None:
+                            probe.sat_restart(self, restart_limit)
                     if len(self._learned) > learned_limit:
                         learned_before = len(self._learned)
                         self._reduce_learned()
                         learned_limit = int(learned_limit * 1.3) + 10
-                        if traced:
-                            tracer.event(
-                                "sat.reduce_db", "solver",
-                                d_deleted=learned_before - len(self._learned),
-                                learned=len(self._learned),
-                                next_limit=learned_limit,
-                            )
+                        if probe is not None:
+                            probe.sat_reduce_db(self, learned_before - len(self._learned),
+                                                learned_limit)
                     continue
 
                 # No conflict: extend assumptions first, then decide.
@@ -676,16 +632,8 @@ class Solver:
                 )
                 self._enqueue(decision, None)
         finally:
-            # Flush any unreported progress exactly once per solve, even
-            # when the budget aborts mid-search with CompileInterrupted.
-            if metered:
-                record_sat_progress(
-                    conflicts=stats.conflicts - flushed[0],
-                    propagations=stats.propagations - flushed[1],
-                    decisions=stats.decisions - flushed[2],
-                    restarts=stats.restarts - flushed[3],
-                    learned=len(self._learned),
-                )
+            if probe is not None:
+                probe.sat_exit(self)
 
     def _install_learned(self, learned: List[int]) -> None:
         self.statistics.learned_clauses += 1

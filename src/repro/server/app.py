@@ -90,6 +90,7 @@ from repro.telemetry.instruments import (
     HTTP_ERRORS,
     HTTP_LATENCY,
     LONGPOLL_ACTIVE,
+    PASS_LATENCY,
     SERVER_JOBS_TRACKED,
     SERVER_UPTIME,
     record_http_request,
@@ -98,13 +99,12 @@ from repro.telemetry.prometheus import (
     CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE,
     render_prometheus,
 )
-from repro.telemetry.registry import REGISTRY
-from repro.telemetry.resources import start_resource_sampler
-from repro.trace.metrics import (
-    PASS_METRICS,
-    enable_pass_metrics,
+from repro.telemetry.registry import (
+    REGISTRY,
+    enable_telemetry,
     snapshot_histogram_family,
 )
+from repro.telemetry.resources import start_resource_sampler
 from repro.trace.tracer import TRACE_HEADER, current_tracer
 from repro.workloads.manifest import parse_manifest
 
@@ -313,10 +313,9 @@ class CompilationGateway:
         service.add_listener(self._on_service_event)
         # /metrics serves per-pipeline-pass histograms alongside the
         # per-route ones; the registry aggregates in-process regardless
-        # of whether JSONL tracing is on.  enable_pass_metrics() turns on
-        # the whole telemetry registry; the resource sampler keeps
+        # of whether JSONL tracing is on.  The resource sampler keeps
         # RSS/CPU/FD gauges fresh between scrapes.
-        enable_pass_metrics()
+        enable_telemetry()
         start_resource_sampler()
         REGISTRY.register_collector("gateway", self._collect_telemetry)
         self._jobs: "OrderedDict[str, _GatewayJob]" = OrderedDict()
@@ -853,7 +852,7 @@ class CompilationGateway:
             # so nothing needs a coercion pass here.
             "service": self.service.statistics(),
             "requests": self.metrics.snapshot(),
-            "passes": PASS_METRICS.snapshot(),
+            "passes": snapshot_histogram_family(PASS_LATENCY, "pass"),
             # The raw registry view the JSON blocks above are carved
             # from: every family, with windowed rates/percentiles.
             "telemetry": REGISTRY.collect(),

@@ -8,11 +8,14 @@ register a single linear objective with ``maximize`` / ``minimize``, call
 Optimization uses objective-strengthening: whenever the SMT solver finds a
 theory-consistent Boolean skeleton, the simplex theory solver maximizes the
 objective within that skeleton (primal simplex), the value is recorded, and
-a constraint requiring a strictly better objective is added.  The loop ends
-when the strengthened problem becomes unsatisfiable; the best recorded model
-is optimal.  Termination follows from the finite number of Boolean
-skeletons, since each iteration rules out every skeleton whose optimum does
-not exceed the recorded value.  A search stopped earlier by the round cap,
+a constraint requiring a strictly better objective is added.  When strict
+bounds keep the skeleton an infinitesimal short of that value, the
+constraint only requires reaching it, so the returned model attains the
+reported optimum wherever some skeleton does.  The loop ends when the
+strengthened problem becomes unsatisfiable; the best recorded model is
+optimal.  Termination follows from the finite number of Boolean
+skeletons, since each iteration rules out the current skeleton and every
+one whose optimum does not exceed the recorded value.  A search stopped earlier by the round cap,
 or by an UNKNOWN strengthened check, keeps its best model but is labelled
 as such in ``statistics()["optimality"]``.
 """
@@ -22,18 +25,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from repro.resilience.budget import current_budget
-from repro.smt.rational import DeltaRational
+from repro.probe import current_probe
 from repro.smt.solver import CheckResult, Model, SmtSolver
 from repro.smt.terms import Comparison, Expr, LinearExpr
-from repro.telemetry.instruments import record_omt_rounds
-from repro.telemetry.registry import telemetry_enabled
-from repro.trace.tracer import current_tracer
-
-#: Sampling schedule of the ``omt.round`` trace events (same shape as
-#: the SMT check sampling: full head, strided tail).
-TRACE_ROUND_HEAD = 32
-TRACE_ROUND_STRIDE = 8
 
 
 class ObjectiveHandle:
@@ -57,12 +51,8 @@ class ObjectiveHandle:
 class Optimize:
     """Optimizing SMT solver facade (single linear objective)."""
 
-    def __init__(
-        self,
-        max_improvement_rounds: int = 10000,
-        incremental_theory: bool = True,
-    ) -> None:
-        self._solver = SmtSolver(incremental_theory=incremental_theory)
+    def __init__(self, max_improvement_rounds: int = 10000) -> None:
+        self._solver = SmtSolver()
         self._objective: Optional[ObjectiveHandle] = None
         self._max_rounds = max_improvement_rounds
         self._best_model: Optional[Model] = None
@@ -110,23 +100,18 @@ class Optimize:
         else:
             working_expr = objective_expr
 
-        tracer = current_tracer()
-        traced = tracer.enabled
-        budget = current_budget()
-        metered = telemetry_enabled()
-        rounds_at_entry = self.improvement_rounds
+        probe = current_probe()
+        self.improvement_rounds = 0
         self.optimality = None
-        omt_token = tracer.begin("omt.optimize", "solver",
-                                 sense=self._objective.sense) if traced else None
+        best_value: Optional[Fraction] = None
+        if probe is not None:
+            probe.omt_begin(self._objective.sense)
         try:
-            best_value: Optional[Fraction] = None
             result = self._solver.check()
             if result != CheckResult.SAT:
                 return result
 
             for round_index in range(self._max_rounds):
-                if budget is not None:
-                    budget.charge("omt.round", rounds=1)
                 self.improvement_rounds = round_index + 1
                 simplex = self._solver.last_simplex()
                 assert simplex is not None
@@ -142,17 +127,14 @@ class Optimize:
                 self._best_model = Model(bool_values, simplex.model())
                 if best_value is None or skeleton_best > best_value:
                     best_value = skeleton_best
-                if traced and (self.improvement_rounds <= TRACE_ROUND_HEAD
-                               or self.improvement_rounds % TRACE_ROUND_STRIDE == 0):
-                    tracer.event(
-                        "omt.round", "solver",
-                        d_rounds=1,
-                        round=self.improvement_rounds,
-                        best=float(best_value),
-                    )
-                # Require a strictly better objective value and re-solve.
+                if probe is not None:
+                    probe.omt_round(self.improvement_rounds, best_value)
+                # Require a strictly better objective value and re-solve.  A
+                # supremum this skeleton misses by an infinitesimal (strict
+                # bounds) only has to be reached, by a skeleton attaining it.
                 improvement = Comparison.build(
-                    LinearExpr.constant_expr(best_value), working_expr, "<"
+                    LinearExpr.constant_expr(best_value), working_expr,
+                    "<=" if optimum.coeff < 0 else "<",
                 )
                 self._solver.add(improvement)
                 result = self._solver.check()
@@ -165,10 +147,8 @@ class Optimize:
             self._finalize_objective(best_value)
             return CheckResult.SAT
         finally:
-            if omt_token is not None:
-                tracer.end(omt_token, rounds=self.improvement_rounds)
-            if metered:
-                record_omt_rounds(self.improvement_rounds - rounds_at_entry)
+            if probe is not None:
+                probe.omt_end(self.improvement_rounds, best_value)
 
     def _finalize_objective(self, best_value: Optional[Fraction]) -> None:
         assert self._objective is not None

@@ -23,21 +23,12 @@ from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.resilience.budget import current_budget
+from repro.probe import current_probe
 from repro.sat import Solver as SatSolver
 from repro.smt.cnf import CnfConverter
 from repro.smt.rational import DeltaRational
 from repro.smt.simplex import Simplex
 from repro.smt.terms import BoolVar, Comparison, Expr, LinearExpr
-from repro.telemetry.instruments import record_theory
-from repro.telemetry.registry import telemetry_enabled
-from repro.trace.tracer import current_tracer
-
-#: Sampling schedule of the ``smt.check`` trace events: the first this
-#: many theory checks are all traced, later ones only every
-#: :data:`TRACE_CHECK_STRIDE`-th — bounded traces on check-heavy runs.
-TRACE_CHECK_HEAD = 32
-TRACE_CHECK_STRIDE = 8
 
 
 class CheckResult(Enum):
@@ -99,32 +90,24 @@ class Model:
 class SmtSolver:
     """Lazy DPLL(T) solver for Boolean combinations of linear real atoms.
 
-    By default the theory solver is *incremental*: one simplex instance
-    persists across all theory checks (and across the OMT layer's
+    The theory solver is *incremental*: one simplex instance persists
+    across all theory checks (and across the OMT layer's
     objective-strengthening rounds).  Between checks only the asserted
     bounds are retracted (:meth:`Simplex.undo_to`); the tableau rows, the
     slack variables of the atoms' linear forms and the current assignment
     are kept and warm-started, so repeated checks avoid rebuilding the
     tableau from scratch.  The learned clauses of the Boolean skeleton are
-    likewise kept by the persistent CDCL core.  ``incremental_theory=False``
-    restores the legacy rebuild-per-check behaviour (kept as the perf
-    baseline and as a differential-testing oracle).
+    likewise kept by the persistent CDCL core.
     """
 
-    def __init__(
-        self,
-        max_theory_iterations: int = 100000,
-        incremental_theory: bool = True,
-    ) -> None:
+    def __init__(self, max_theory_iterations: int = 100000) -> None:
         self._converter = CnfConverter()
         self._assertions: List[Expr] = []
         self._clauses_dispatched = 0
         self._sat = SatSolver()
         self._max_theory_iterations = max_theory_iterations
-        self._incremental_theory = incremental_theory
-        self._simplex: Optional[Simplex] = None
-        # Atom SAT-var -> slack-variable index in the persistent simplex;
-        # valid only in incremental mode (fresh instances renumber slacks).
+        self._simplex = Simplex()
+        # Atom SAT-var -> slack-variable index in the persistent simplex.
         self._atom_slack: Dict[int, int] = {}
         self._model: Optional[Model] = None
         self._last_simplex: Optional[Simplex] = None
@@ -156,43 +139,21 @@ class SmtSolver:
         """Check satisfiability of the asserted formulas."""
         assumption_literals = [self._converter.encode(expr) for expr in assumptions]
         self._sync_clauses()
-        tracer = current_tracer()
-        traced = tracer.enabled
-        budget = current_budget()
-        pivots_charged = self._stats["theory_pivots"]
-        # Telemetry deltas flush once per check() call, including aborts
-        # (budget.charge raises CompileInterrupted mid-loop).
-        metered = telemetry_enabled()
-        entry = (self._stats["theory_checks"], self._stats["theory_pivots"],
-                 self._stats["theory_conflicts"])
+        probe = current_probe()
+        if probe is not None:
+            probe.check_begin(self._stats)
         try:
             for _ in range(self._max_theory_iterations):
-                if budget is not None:
-                    # Charge the pivots of the previous iteration and enforce
-                    # the deadline once per theory check (the SAT sub-solve
-                    # below has its own per-conflict checkpoint).
-                    budget.charge(
-                        "smt.check",
-                        pivots=self._stats["theory_pivots"] - pivots_charged,
-                    )
-                    pivots_charged = self._stats["theory_pivots"]
                 self._stats["theory_checks"] += 1
-                pivots_before = self._stats["theory_pivots"] if traced else 0
                 if not self._sat.solve(assumption_literals):
                     self._model = None
                     return CheckResult.UNSAT
                 sat_model = self._sat.model()
+                pivots = self._stats["theory_pivots"]
                 simplex, conflict = self._theory_check(sat_model)
-                if traced:
-                    index = self._stats["theory_checks"]
-                    if index <= TRACE_CHECK_HEAD or index % TRACE_CHECK_STRIDE == 0:
-                        tracer.event(
-                            "smt.check", "solver",
-                            check=index,
-                            consistent=conflict is None,
-                            d_pivots=self._stats["theory_pivots"] - pivots_before,
-                            theory_conflicts=self._stats["theory_conflicts"],
-                        )
+                if probe is not None:
+                    probe.theory_check(self._stats, conflict is None,
+                                       self._stats["theory_pivots"] - pivots)
                 if conflict is None:
                     self._store_model(sat_model, simplex)
                     self._last_simplex = simplex
@@ -203,29 +164,10 @@ class SmtSolver:
                 self._sync_clauses()
             return CheckResult.UNKNOWN
         finally:
-            if metered:
-                record_theory(
-                    checks=self._stats["theory_checks"] - entry[0],
-                    pivots=self._stats["theory_pivots"] - entry[1],
-                    conflicts=self._stats["theory_conflicts"] - entry[2],
-                )
+            if probe is not None:
+                probe.check_exit(self._stats)
 
     # ------------------------------------------------------------------
-    def _working_simplex(self) -> Simplex:
-        """Return the theory solver for the next check.
-
-        Incremental mode reuses one instance, retracting every bound
-        asserted by the previous check while keeping tableau and
-        assignment; legacy mode builds a fresh instance every time.
-        """
-        if not self._incremental_theory:
-            return Simplex()
-        if self._simplex is None:
-            self._simplex = Simplex()
-        else:
-            self._simplex.undo_to(0)
-        return self._simplex
-
     def _theory_check(
         self, sat_model: Mapping[int, bool]
     ) -> Tuple[Simplex, Optional[List[int]]]:
@@ -234,11 +176,12 @@ class SmtSolver:
         Returns the simplex instance and either ``None`` (consistent) or the
         conflicting subset of SAT literals.
         """
-        simplex = self._working_simplex()
-        # Accumulate only the pivots of this check, so the counter means
-        # the same thing in incremental mode (shared instance, also
-        # pivoted by OMT maximize calls) and legacy mode (fresh instance
-        # per check).
+        # Retract every bound of the previous check; the tableau and the
+        # assignment stay.
+        simplex = self._simplex
+        simplex.undo_to(0)
+        # Accumulate only the pivots of this check: OMT maximize calls
+        # pivot the same instance.
         pivots_before = simplex.pivots
         try:
             for var, atom in self._converter.atom_by_var.items():
@@ -257,9 +200,7 @@ class SmtSolver:
             self._stats["theory_pivots"] += simplex.pivots - pivots_before
 
     def _slack_for_atom(self, simplex: Simplex, var: int, atom: Comparison) -> int:
-        """Resolve (and in incremental mode memoize) the atom's slack variable."""
-        if not self._incremental_theory:
-            return simplex.slack_for(atom.poly.coeffs)
+        """Resolve (and memoize) the atom's slack variable."""
         slack = self._atom_slack.get(var)
         if slack is None:
             slack = simplex.slack_for(atom.poly.coeffs)
@@ -308,8 +249,8 @@ class SmtSolver:
     def last_simplex(self) -> Optional[Simplex]:
         """Return the theory solver state of the last SAT answer (for OMT).
 
-        In incremental mode the returned instance still holds the bounds of
-        the satisfying Boolean skeleton, so the OMT layer can maximize over
+        The returned instance still holds the bounds of the satisfying
+        Boolean skeleton, so the OMT layer can maximize over
         it directly; the bounds are retracted at the start of the next
         :meth:`check` call.
         """

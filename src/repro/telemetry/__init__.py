@@ -40,6 +40,7 @@ from repro.telemetry.registry import (
     REGISTRY,
     disable_telemetry,
     enable_telemetry,
+    snapshot_histogram_family,
     telemetry_enabled,
 )
 from repro.telemetry.resources import (
@@ -64,6 +65,7 @@ __all__ = [
     "parse_prometheus",
     "render_prometheus",
     "resource_usage",
+    "snapshot_histogram_family",
     "start_resource_sampler",
     "stop_resource_sampler",
     "telemetry_enabled",

@@ -5,27 +5,39 @@ call sites use the ``record_*`` helpers, each of which opens with the
 ``telemetry_enabled()`` fast path so a disabled hook costs one global
 read regardless of how many families it would touch.
 
+The solvers and the pass manager are metered by :class:`SolverMeter`,
+which :func:`repro.telemetry.enable_telemetry` attaches to
+:mod:`repro.probe`: pass latency, and SAT/SMT/OMT counter deltas flushed
+at conflict milestones and at every solver exit.
+
 Family naming follows Prometheus conventions: ``repro_`` prefix, base
 units (seconds, bytes), ``_total`` suffix on counters.
 """
 
 from __future__ import annotations
 
+import sys
+from typing import Dict, Tuple
+
+try:
+    import resource
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    resource = None  # type: ignore[assignment]
+
+from repro.probe import CONFLICT_MILESTONE, Probe
 from repro.telemetry.registry import REGISTRY, telemetry_enabled
 
 __all__ = [
+    "SolverMeter",
     "record_auth",
     "record_cache",
     "record_compile",
     "record_http_request",
     "record_job_event",
-    "record_omt_rounds",
-    "record_pass",
     "record_peer_fetch",
-    "record_sat_progress",
     "record_scheduler_saturation",
     "record_shed",
-    "record_theory",
+    "resource_usage",
 ]
 
 # -- HTTP gateway ----------------------------------------------------------
@@ -181,6 +193,79 @@ SERVER_JOBS_TRACKED = REGISTRY.gauge(
 )
 
 
+# -- solver and pipeline meter ---------------------------------------------
+
+# ru_maxrss is kilobytes on Linux, bytes on macOS.
+_MAXRSS_SCALE = 1 if sys.platform == "darwin" else 1024
+
+
+def resource_usage() -> Tuple[float, int]:
+    """``(cpu_seconds, peak_rss_bytes)`` for this process so far."""
+    if resource is None:  # pragma: no cover - non-POSIX platforms
+        return 0.0, 0
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    cpu = usage.ru_utime + usage.ru_stime
+    return cpu, int(usage.ru_maxrss) * _MAXRSS_SCALE
+
+
+class SolverMeter(Probe):
+    """One solver or pipeline call's milestones, as metric updates.
+
+    ``flushed`` holds the counters the last flush accounted for; each
+    flush adds the deltas since then to ``repro_solver_events_total``.
+    """
+
+    __slots__ = ("flushed", "usage")
+
+    def _flush(self, counts: Dict[str, int]) -> None:
+        for event, value in counts.items():
+            delta = value - self.flushed[event]
+            if delta:
+                SOLVER_EVENTS.labels(event).inc(delta)
+        self.flushed = counts
+
+    @staticmethod
+    def _sat_counts(solver) -> Dict[str, int]:
+        stats = solver.statistics
+        return {"conflicts": stats.conflicts, "propagations": stats.propagations,
+                "decisions": stats.decisions, "restarts": stats.restarts}
+
+    def sat_begin(self, solver) -> None:
+        self.flushed = self._sat_counts(solver)
+
+    def sat_conflict(self, solver) -> None:
+        # Live rates during long solves.
+        if solver.statistics.conflicts % CONFLICT_MILESTONE == 0:
+            self.sat_exit(solver)
+
+    def sat_exit(self, solver) -> None:
+        self._flush(self._sat_counts(solver))
+        SOLVER_LEARNED_CLAUSES.set(solver.num_learned)
+
+    def check_begin(self, counters) -> None:
+        self.flushed = dict(counters)
+
+    def check_exit(self, counters) -> None:
+        self._flush(dict(counters))
+
+    def omt_end(self, rounds: int, best) -> None:
+        if rounds:
+            SOLVER_EVENTS.labels("omt_rounds").inc(rounds)
+
+    def pass_end(self, name: str, seconds: float, counters: Dict[str, object]) -> None:
+        PASS_LATENCY.labels(name).observe(seconds)
+
+    def pipeline_begin(self, technique: str, circuit) -> None:
+        self.usage = resource_usage()
+
+    def pipeline_end(self, report, adapted) -> None:
+        cpu_end, rss_end = resource_usage()
+        report.resources = {
+            "cpu_seconds": max(0.0, cpu_end - self.usage[0]),
+            "peak_rss_bytes": float(rss_end),
+        }
+
+
 # -- hot-path helpers ------------------------------------------------------
 
 def record_http_request(route: str, status: int, seconds: float) -> None:
@@ -193,13 +278,6 @@ def record_http_request(route: str, status: int, seconds: float) -> None:
     elif status >= 400:
         HTTP_ERRORS.labels(route, "client").inc()
     HTTP_LATENCY.labels(route).observe(seconds)
-
-
-def record_pass(name: str, seconds: float) -> None:
-    """One completed pipeline pass."""
-    if not telemetry_enabled():
-        return
-    PASS_LATENCY.labels(name).observe(seconds)
 
 
 def record_compile(technique: str, seconds: float) -> None:
@@ -224,42 +302,6 @@ def record_scheduler_saturation(queue_depth: int, workers_busy: int,
     QUEUE_DEPTH.set(queue_depth)
     WORKERS_BUSY.set(workers_busy)
     JOBS_PENDING.set(jobs_pending)
-
-
-def record_sat_progress(conflicts: int, propagations: int, decisions: int,
-                        restarts: int, learned: int) -> None:
-    """Flush SAT search deltas (milestone checkpoints and solve exit)."""
-    if not telemetry_enabled():
-        return
-    if conflicts:
-        SOLVER_EVENTS.labels("conflicts").inc(conflicts)
-    if propagations:
-        SOLVER_EVENTS.labels("propagations").inc(propagations)
-    if decisions:
-        SOLVER_EVENTS.labels("decisions").inc(decisions)
-    if restarts:
-        SOLVER_EVENTS.labels("restarts").inc(restarts)
-    SOLVER_LEARNED_CLAUSES.set(learned)
-
-
-def record_theory(checks: int, pivots: int, conflicts: int) -> None:
-    """Flush DPLL(T) theory-engine deltas at the end of a check."""
-    if not telemetry_enabled():
-        return
-    if checks:
-        SOLVER_EVENTS.labels("theory_checks").inc(checks)
-    if pivots:
-        SOLVER_EVENTS.labels("theory_pivots").inc(pivots)
-    if conflicts:
-        SOLVER_EVENTS.labels("theory_conflicts").inc(conflicts)
-
-
-def record_omt_rounds(rounds: int) -> None:
-    """Flush OMT improvement rounds at the end of an optimize call."""
-    if not telemetry_enabled():
-        return
-    if rounds:
-        SOLVER_EVENTS.labels("omt_rounds").inc(rounds)
 
 
 def record_auth(key: str, outcome: str) -> None:

@@ -20,7 +20,9 @@ Three instrument kinds, all label-aware:
 Hot-path discipline matches ``repro.trace``/``repro.resilience``: every
 mutating method begins ``if not _ENABLED: return`` where ``_ENABLED``
 is a module global, so a disabled hook costs one global read (~40 ns,
-tracked in BENCH_perf.json's ``telemetry`` key).  ``os.register_at_fork``
+tracked in BENCH_perf.json's ``telemetry`` key).  While recording is on,
+the solver and pipeline meter of :mod:`repro.telemetry.instruments` is
+attached to :mod:`repro.probe`.  ``os.register_at_fork``
 resets child copies — fresh locks, zeroed values — so a forked pool
 worker never re-reports its parent's counts.
 
@@ -40,6 +42,8 @@ import time
 from bisect import bisect_left
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.probe import attach, detach
+
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
@@ -50,6 +54,7 @@ __all__ = [
     "WINDOWS",
     "disable_telemetry",
     "enable_telemetry",
+    "snapshot_histogram_family",
     "telemetry_enabled",
 ]
 
@@ -79,12 +84,20 @@ def telemetry_enabled() -> bool:
 def enable_telemetry() -> None:
     """Turn recording on process-wide (idempotent)."""
     global _ENABLED
+    if not _ENABLED:
+        from repro.telemetry.instruments import SolverMeter
+
+        attach(SolverMeter)
     _ENABLED = True
 
 
 def disable_telemetry() -> None:
     """Turn recording off process-wide (tests, benchmarks)."""
     global _ENABLED
+    if _ENABLED:
+        from repro.telemetry.instruments import SolverMeter
+
+        detach(SolverMeter)
     _ENABLED = False
 
 
@@ -572,6 +585,56 @@ class MetricRegistry:
         for family in self._families.values():
             family._reset()
         self._collectors = dict(self._collectors)
+
+
+def _bucket_label(bound_seconds: float) -> str:
+    millis = 1e3 * bound_seconds
+    return f"le_{int(millis)}ms" if millis == int(millis) else f"le_{millis}ms"
+
+
+def snapshot_histogram_family(family, label_name: str) -> Dict[str, Dict[str, object]]:
+    """JSON block for one labelled histogram family, keyed by label value.
+
+    The shape the gateway's ``/metrics`` always used: lifetime
+    ``count``/``mean_ms``/``p50_ms``/``p95_ms`` plus a *non-cumulative*
+    ``histogram_ms``, now with a ``windows`` sub-dict of 1/5/15-minute
+    percentiles sourced from the registry's sliding ring.
+    """
+    snapshot: Dict[str, Dict[str, object]] = {}
+    for sample in family.snapshot()["samples"]:
+        name = sample["labels"].get(label_name, "")
+        count = sample["count"]
+        total = sample["sum"]
+        bounds = [bound for bound, _running in sample["buckets"]]
+        # buckets arrive cumulative; the JSON block is non-cumulative.
+        flat = []
+        previous = 0
+        for _bound, running in sample["buckets"]:
+            flat.append(running - previous)
+            previous = running
+        flat.append(count - previous)  # +Inf overflow
+        histogram = {_bucket_label(bound): flat[index]
+                     for index, bound in enumerate(bounds)}
+        histogram["le_inf"] = flat[-1]
+        windows = {
+            window: {
+                "count": stats["count"],
+                "p50_ms": 1e3 * stats["p50"],
+                "p95_ms": 1e3 * stats["p95"],
+                "p99_ms": 1e3 * stats["p99"],
+            }
+            for window, stats in sample["windows"].items()
+        }
+        snapshot[name] = {
+            "count": count,
+            "total_seconds": total,
+            "mean_ms": 1e3 * total / count if count else 0.0,
+            "p50_ms": 1e3 * _quantile_from_buckets(bounds, flat, count, 0.50),
+            "p95_ms": 1e3 * _quantile_from_buckets(bounds, flat, count, 0.95),
+            "histogram_ms": histogram,
+            "windows": windows,
+        }
+    return snapshot
 
 
 #: The process-wide registry every repro surface feeds.

@@ -6,29 +6,24 @@ open file descriptors.  The sampler is a daemon thread the gateway
 starts once per process; each tick refreshes the ``repro_process_*``
 gauges/counters in the registry.
 
-:func:`resource_usage` is the cheap probe the pipeline wraps around a
-compile to attribute CPU seconds and peak RSS to its
-``CompilationReport``.
+:func:`resource_usage` (from :mod:`repro.telemetry.instruments`) is the
+cheap reading the solver meter takes around a pipeline run to attribute
+CPU seconds and peak RSS to its ``CompilationReport``.
 """
 
 from __future__ import annotations
 
 import gc
 import os
-import sys
 import threading
-from typing import Optional, Tuple
-
-try:
-    import resource
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    resource = None  # type: ignore[assignment]
+from typing import Optional
 
 from repro.telemetry.instruments import (
     PROCESS_CPU,
     PROCESS_FDS,
     PROCESS_GC,
     PROCESS_RSS,
+    resource_usage,
 )
 from repro.telemetry.registry import telemetry_enabled
 
@@ -39,19 +34,6 @@ __all__ = [
     "start_resource_sampler",
     "stop_resource_sampler",
 ]
-
-# ru_maxrss is kilobytes on Linux, bytes on macOS.
-_MAXRSS_SCALE = 1 if sys.platform == "darwin" else 1024
-
-
-def resource_usage() -> Tuple[float, int]:
-    """``(cpu_seconds, peak_rss_bytes)`` for this process so far."""
-    if resource is None:  # pragma: no cover - non-POSIX platforms
-        return 0.0, 0
-    usage = resource.getrusage(resource.RUSAGE_SELF)
-    cpu = usage.ru_utime + usage.ru_stime
-    return cpu, int(usage.ru_maxrss) * _MAXRSS_SCALE
-
 
 def _current_rss_bytes() -> int:
     """Current resident set (``/proc`` where available, else peak)."""

@@ -15,12 +15,6 @@ from __future__ import annotations
 
 import os
 
-from repro.trace.metrics import (
-    PASS_METRICS,
-    PassMetricsRegistry,
-    enable_pass_metrics,
-    observe_pass,
-)
 from repro.trace.reader import (
     build_spans,
     diff_summaries,
@@ -52,8 +46,6 @@ from repro.trace.tracer import (
 __all__ = [
     "NULL_TRACER",
     "NullTracer",
-    "PASS_METRICS",
-    "PassMetricsRegistry",
     "TRACE_ENV_VAR",
     "TRACE_HEADER",
     "TraceContext",
@@ -63,10 +55,8 @@ __all__ = [
     "capture_context",
     "current_tracer",
     "diff_summaries",
-    "enable_pass_metrics",
     "global_tracer",
     "load_events",
-    "observe_pass",
     "parse_remote_parent",
     "pass_totals",
     "resolve_parent",

@@ -15,6 +15,10 @@ consults a context-variable scope first (per-``compile(trace=...)``
 overrides, cross-thread span resumption) and the installed global tracer
 second (``REPRO_TRACE`` / :func:`start_tracing`).
 
+The solvers and the pass manager are observed through :mod:`repro.probe`
+instead: while any tracer is live, :class:`_TraceProbe` turns their
+milestones into spans and sampled ``solver`` events.
+
 Writes are thread- and multiprocess-safe: events buffer per tracer under
 a lock and flush as one ``os.write`` to an ``O_APPEND`` descriptor, so
 complete lines from concurrent writers never interleave mid-line.  A
@@ -32,6 +36,17 @@ import threading
 import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional, Tuple, Union
+
+from repro.probe import CONFLICT_MILESTONE, Probe, attach, detach
+
+#: Sampling schedule of the ``smt.check`` and ``omt.round`` events: the
+#: first this many checks (rounds) are all traced, later ones only every
+#: :data:`TRACE_STRIDE`-th — bounded traces on check-heavy runs.  A
+#: skipped check's or round's work is carried by the next event, and the
+#: exit of the call flushes what is left, so the ``d_*`` fields of a
+#: trace sum to the solver's counters.
+TRACE_HEAD = 32
+TRACE_STRIDE = 8
 
 #: Fast-path switch read by every instrumentation hook.  True while a
 #: global tracer is installed or at least one scoped activation is live.
@@ -70,11 +85,14 @@ def _activate() -> None:
     with _ACTIVE_LOCK:
         _ACTIVE_COUNT += 1
         _ACTIVE = True
+    attach(_traced)
 
 
 def _deactivate() -> None:
     global _ACTIVE, _ACTIVE_COUNT
     with _ACTIVE_LOCK:
+        if _ACTIVE_COUNT > 0:
+            detach(_traced)
         _ACTIVE_COUNT = max(0, _ACTIVE_COUNT - 1)
         _ACTIVE = _ACTIVE_COUNT > 0
 
@@ -358,6 +376,135 @@ def current_tracer() -> Union[Tracer, NullTracer]:
     if tracer is not None and not tracer.closed:
         return tracer
     return NULL_TRACER
+
+
+def _sampled(index: int) -> bool:
+    return index <= TRACE_HEAD or index % TRACE_STRIDE == 0
+
+
+class _TraceProbe(Probe):
+    """One solver or pipeline call's milestones, as spans and events.
+
+    ``reported`` is the counter value the last emitted event accounted
+    for: each event carries the delta since then (``d_*``).
+    """
+
+    __slots__ = ("tracer", "reported", "consistent", "outer", "inner")
+
+    def __init__(self, tracer: "Tracer") -> None:
+        self.tracer = tracer
+        self.reported = 0
+        self.consistent: Optional[bool] = None
+        self.outer = None  # the pipeline, select or omt.optimize span
+        self.inner = None  # the running pass's span
+
+    # -- SAT: conflict milestones plus the residual at exit --------------
+    def sat_begin(self, solver) -> None:
+        self.reported = solver.statistics.conflicts
+
+    def sat_conflict(self, solver) -> None:
+        if solver.statistics.conflicts % CONFLICT_MILESTONE == 0:
+            self._conflicts(solver)
+
+    def sat_exit(self, solver) -> None:
+        if solver.statistics.conflicts > self.reported:
+            self._conflicts(solver)
+
+    def _conflicts(self, solver) -> None:
+        stats = solver.statistics
+        self.tracer.event(
+            "sat.conflicts", "solver",
+            d_conflicts=stats.conflicts - self.reported,
+            conflicts=stats.conflicts,
+            learned=solver.num_learned,
+            decisions=stats.decisions,
+        )
+        self.reported = stats.conflicts
+
+    def sat_restart(self, solver, next_limit: int) -> None:
+        self.tracer.event(
+            "sat.restart", "solver",
+            d_restarts=1,
+            restarts=solver.statistics.restarts,
+            conflicts=solver.statistics.conflicts,
+            next_limit=next_limit,
+        )
+
+    def sat_reduce_db(self, solver, deleted: int, next_limit: int) -> None:
+        self.tracer.event("sat.reduce_db", "solver", d_deleted=deleted,
+                          learned=solver.num_learned, next_limit=next_limit)
+
+    # -- DPLL(T): sampled theory checks plus the residual at exit --------
+    def check_begin(self, counters) -> None:
+        self.reported = counters["theory_pivots"]
+
+    def theory_check(self, counters, consistent: bool, pivots: int) -> None:
+        self.consistent = consistent
+        if _sampled(counters["theory_checks"]):
+            self._check(counters)
+
+    def check_exit(self, counters) -> None:
+        if counters["theory_pivots"] > self.reported:
+            self._check(counters)
+
+    def _check(self, counters) -> None:
+        self.tracer.event(
+            "smt.check", "solver",
+            check=counters["theory_checks"],
+            consistent=self.consistent,
+            d_pivots=counters["theory_pivots"] - self.reported,
+            theory_conflicts=counters["theory_conflicts"],
+        )
+        self.reported = counters["theory_pivots"]
+
+    # -- OMT: one span, sampled rounds plus the residual at exit ---------
+    def omt_begin(self, sense: str) -> None:
+        self.outer = self.tracer.begin("omt.optimize", "solver", sense=sense)
+
+    def omt_round(self, rounds: int, best) -> None:
+        if _sampled(rounds):
+            self._round(rounds, best)
+
+    def omt_end(self, rounds: int, best) -> None:
+        if rounds > self.reported and best is not None:  # None: unbounded
+            self._round(rounds, best)
+        self.tracer.end(self.outer, rounds=rounds)
+
+    def _round(self, rounds: int, best) -> None:
+        self.tracer.event("omt.round", "solver", d_rounds=rounds - self.reported,
+                          round=rounds, best=float(best))
+        self.reported = rounds
+
+    # -- selection and pipeline spans ------------------------------------
+    def select_begin(self, objective: str) -> None:
+        self.outer = self.tracer.begin("select", "solver", objective=objective)
+
+    def select_end(self, fields: Dict[str, object]) -> None:
+        self.tracer.end(self.outer, **fields)
+
+    def pipeline_begin(self, technique: str, circuit) -> None:
+        self.outer = self.tracer.begin(
+            "pipeline", "pipeline", technique=technique, circuit=circuit.name,
+            gates_in=len(circuit.instructions),
+        )
+
+    def pass_begin(self, name: str) -> None:
+        self.inner = self.tracer.begin(f"pass:{name}", "pipeline")
+
+    def pass_end(self, name: str, seconds: float, counters: Dict[str, object]) -> None:
+        self.tracer.end(self.inner, **counters)
+        self.inner = None
+
+    def pipeline_end(self, report, adapted) -> None:
+        self.tracer.end(self.inner)  # a pass that raised
+        self.tracer.end(self.outer, gates_out=(len(adapted.instructions)
+                                               if adapted is not None else None))
+
+
+def _traced() -> Optional[_TraceProbe]:
+    """The probe source: a fresh :class:`_TraceProbe` when tracing here."""
+    tracer = current_tracer()
+    return _TraceProbe(tracer) if tracer.enabled else None
 
 
 def start_tracing(

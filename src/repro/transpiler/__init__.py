@@ -16,8 +16,9 @@ baseline adaptation techniques (Section III) and the SMT-based adaptation
 * :mod:`repro.transpiler.cost` -- fidelity / duration / idle-time cost
   analysis of a circuit on a target.
 
-The template-optimization baseline lives in :mod:`repro.core.baselines`
-because it shares the substitution-rule machinery with the SMT adapter.
+The template-optimization baseline is the ``GreedySelection`` pass of
+:mod:`repro.pipeline.passes` because it shares the substitution-rule
+machinery with the SMT adapter.
 """
 
 from repro.transpiler.routing import route_circuit, trivial_layout

@@ -1,36 +1,15 @@
-"""The ``measurement_probabilities`` shim: warns, delegates, stays external.
+"""The probability helpers are warning-free single-mode functions.
 
-The tier-1 run itself is kept warning-clean for this shim by the
-``filterwarnings`` error entry in ``pyproject.toml`` — no internal code
-path may call it.  These tests pin the deprecation surface for external
-callers.
+``circuit_probabilities`` takes a circuit and ``statevector_probabilities``
+a statevector; neither emits a deprecation warning.
 """
 
-import pytest
-
-from repro.simulator import (
-    circuit_probabilities,
-    measurement_probabilities,
-    simulate_statevector,
-)
+from repro.simulator import circuit_probabilities, simulate_statevector
 from repro.simulator.statevector import statevector_probabilities
 from repro.workloads import ghz_circuit
 
 
 class TestMeasurementProbabilitiesShim:
-    def test_circuit_mode_warns_and_delegates(self):
-        circuit = ghz_circuit(3)
-        with pytest.warns(DeprecationWarning, match="circuit_probabilities"):
-            legacy = measurement_probabilities(circuit)
-        assert legacy == circuit_probabilities(circuit)
-
-    def test_statevector_mode_warns_and_delegates(self):
-        circuit = ghz_circuit(2)
-        state = simulate_statevector(circuit)
-        with pytest.warns(DeprecationWarning, match="statevector_probabilities"):
-            legacy = measurement_probabilities(state, 2)
-        assert legacy == statevector_probabilities(state, 2)
-
     def test_replacements_do_not_warn(self):
         import warnings
 
