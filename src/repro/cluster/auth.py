@@ -18,8 +18,10 @@ sharded deployment: the **edge** (router, or a standalone gateway)
 charges token buckets and quotas; gateways behind a router run with
 ``enforce_limits=False`` and only re-check key validity.  Outcomes map
 onto HTTP statuses via typed errors — 401 missing/unknown key, 403
-expired key, 429 over-rate or over-quota with ``retry_after`` — and
-every decision lands on the keyed ``repro_auth_requests_total`` metric.
+expired key, 429 over-rate or over-quota with ``retry_after`` — whose
+:meth:`AuthError.http_fields` are the answer both serving edges send,
+and every decision lands on the keyed ``repro_auth_requests_total``
+metric.
 """
 
 from __future__ import annotations
@@ -70,6 +72,20 @@ class AuthError(Exception):
         super().__init__(message)
         self.retry_after = retry_after
         self.key_name = key_name
+
+    def http_fields(self) -> Dict[str, object]:
+        """The rejection's JSON fields beside ``error``, on every edge.
+
+        ``key`` names the principal; ``retry`` marks a 429 as worth
+        retrying; ``retry_after`` (when known) also becomes the
+        ``Retry-After`` header.
+        """
+        fields: Dict[str, object] = {"key": self.key_name}
+        if self.status == 429:
+            fields["retry"] = True
+        if self.retry_after is not None:
+            fields["retry_after"] = self.retry_after
+        return fields
 
 
 class MissingKeyError(AuthError):

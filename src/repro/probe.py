@@ -11,10 +11,12 @@ This module imports nothing from :mod:`repro`.
 
 A subscriber *attaches* a source while it is active (a budget scope is
 open, a fault plan installed, a tracer live, telemetry on) and detaches
-it afterwards.  A source is a zero-argument callable returning the
-:class:`Probe` for the calling context, a fresh one when it keeps
-per-call state, or ``None`` when it has nothing to observe there.  With
-nothing attached, :func:`current_probe` is one module-global read.
+it afterwards; :func:`attached` tells it whether it is active anywhere,
+so it keeps no activity flag of its own.  A source is a zero-argument
+callable returning the :class:`Probe` for the calling context, a fresh
+one when it keeps per-call state, or ``None`` when it has nothing to
+observe there.  With nothing attached, :func:`current_probe` is one
+module-global read.
 """
 
 from __future__ import annotations
@@ -117,8 +119,8 @@ for _name in [name for name in vars(Probe) if not name.startswith("_")]:
 
 Source = Callable[[], Optional[Probe]]
 
-#: Attached sources in attach order; ``None`` (the fastest test) while
-#: nothing observes.
+#: Attached sources in attach order; ``None`` (the fastest test, which
+#: subscribers' own hot paths make too) while nothing observes.
 _LIVE: Optional[Tuple[Source, ...]] = None
 _COUNTS: Dict[Source, int] = {}
 _LOCK = threading.Lock()
@@ -144,6 +146,15 @@ def detach(source: Source) -> None:
         _LIVE = tuple(_COUNTS) or None
 
 
+def attached(source: Source) -> bool:
+    """True while ``source`` has a live activation anywhere in the process.
+
+    Hot paths test ``_LIVE is None`` first: with nothing attached at all,
+    that one module read is the whole cost, as for a plain flag.
+    """
+    return source in _COUNTS
+
+
 def current_probe() -> Optional[Probe]:
     """The probe observing the calling context, or ``None``."""
     if _LIVE is None:
@@ -155,4 +166,4 @@ def current_probe() -> Optional[Probe]:
     return probes[0] if probes else None
 
 
-__all__ = ["CONFLICT_MILESTONE", "Probe", "attach", "current_probe", "detach"]
+__all__ = ["CONFLICT_MILESTONE", "Probe", "attach", "attached", "current_probe", "detach"]

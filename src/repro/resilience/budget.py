@@ -18,19 +18,19 @@ job has given up) and the next checkpoint in the compiling thread raises
 :class:`CompileCancelled`.
 
 With no budget in scope the solvers see no probe at all; for other
-callers a module-level boolean guards the context-variable lookup, so
+callers the probe's attach count guards the context-variable lookup, so
 :func:`check_budget` costs a few tens of nanoseconds.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
-from repro.probe import Probe, attach, detach
+from repro import probe as _probe
+from repro.probe import Probe, attach, attached, detach
 
 
 class CompileInterrupted(RuntimeError):
@@ -145,6 +145,11 @@ class Budget(Probe):
                 f"on_deadline must be one of {ON_DEADLINE_MODES}, "
                 f"got {on_deadline!r}"
             )
+        if not (fallback is None or isinstance(fallback, (bool, str)) or (
+                isinstance(fallback, (list, tuple))
+                and all(isinstance(key, str) for key in fallback))):
+            raise TypeError("fallback must be a bool, a technique key or a "
+                            f"list of technique keys, got {fallback!r}")
         self.timeout = timeout
         self.max_conflicts = max_conflicts
         self.max_pivots = max_pivots
@@ -307,15 +312,11 @@ class Budget(Probe):
 # The ambient budget scope
 # ---------------------------------------------------------------------------
 # Mirrors repro.trace.tracer: a context variable holds the budget in
-# scope; a module-level boolean (true while ANY scope anywhere is open)
-# lets the common no-budget case skip the context-variable lookup.
+# scope; the probe source's attach count (non-zero while ANY scope
+# anywhere is open) lets the common no-budget case skip the lookup.
 _SCOPE: "ContextVar[Optional[Budget]]" = ContextVar(
     "repro_budget_scope", default=None
 )
-_ACTIVE = False
-_ACTIVE_COUNT = 0
-_ACTIVE_LOCK = threading.Lock()
-
 
 #: The probe source: the budget in scope is the probe of its context.
 _scoped_budget = _SCOPE.get
@@ -323,7 +324,7 @@ _scoped_budget = _SCOPE.get
 
 def current_budget() -> Optional[Budget]:
     """The budget in scope for this context, or ``None``."""
-    if not _ACTIVE:
+    if _probe._LIVE is None or not attached(_scoped_budget):
         return None
     return _SCOPE.get()
 
@@ -333,9 +334,9 @@ def check_budget(checkpoint: str = "checkpoint", conflicts: int = 0,
     """Enforce the ambient budget, if any.
 
     ~40 ns when no budget is in scope anywhere in the process (one
-    module-global boolean test).
+    read of the probe's attach state).
     """
-    if not _ACTIVE:
+    if _probe._LIVE is None or not attached(_scoped_budget):
         return
     budget = _SCOPE.get()
     if budget is not None:
@@ -352,20 +353,13 @@ def budget_scope(budget: Optional[Budget]) -> Iterator[Optional[Budget]]:
     budget *replaces* the outer for the duration (link them explicitly
     via ``Budget(parent=...)`` when the outer cancel must propagate).
     """
-    global _ACTIVE, _ACTIVE_COUNT
     if budget is None:
         yield None
         return
     token = _SCOPE.set(budget)
-    with _ACTIVE_LOCK:
-        _ACTIVE_COUNT += 1
-        _ACTIVE = True
     attach(_scoped_budget)
     try:
         yield budget
     finally:
         detach(_scoped_budget)
-        with _ACTIVE_LOCK:
-            _ACTIVE_COUNT -= 1
-            _ACTIVE = _ACTIVE_COUNT > 0
         _SCOPE.reset(token)

@@ -264,7 +264,16 @@ class Solver:
             if not self._enqueue(internal[0], None):
                 self._ok = False
                 return False
-            conflict = self._propagate()
+            # A unit propagates here, outside any solve: observers see it
+            # as a call of its own, so their propagation counts stay whole.
+            probe = current_probe()
+            if probe is not None:
+                probe.sat_begin(self)
+            try:
+                conflict = self._propagate()
+            finally:
+                if probe is not None:
+                    probe.sat_exit(self)
             if conflict is not None:
                 self._ok = False
                 return False
@@ -538,28 +547,27 @@ class Solver:
         """Solve and return a :class:`SolverResult` (may be ``UNKNOWN``)."""
         self._model = {}
         self._failed_assumptions = []
-        if not self._ok:
-            return SolverResult.UNSAT
-
-        self._backtrack(0)
-        conflict = self._propagate()
-        if conflict is not None:
-            self._ok = False
-            return SolverResult.UNSAT
-
-        # Observers see the search through one probe; None (the common
-        # case) costs one test per conflict.
+        # Observers see the search through one probe, from before the
+        # level-0 propagation to every exit; None (the common case) costs
+        # one test per conflict.
         probe = current_probe()
         if probe is not None:
             probe.sat_begin(self)
 
-        internal_assumptions = [self._lit_to_internal(lit) for lit in assumptions]
-        conflicts_since_restart = 0
-        restart_index = 1
-        restart_limit = self._restart_base * luby(restart_index)
-        learned_limit = max(100, len(self._clauses) // 3)
-
         try:
+            if not self._ok:
+                return SolverResult.UNSAT
+            self._backtrack(0)
+            if self._propagate() is not None:
+                self._ok = False
+                return SolverResult.UNSAT
+
+            internal_assumptions = [self._lit_to_internal(lit) for lit in assumptions]
+            conflicts_since_restart = 0
+            restart_index = 1
+            restart_limit = self._restart_base * luby(restart_index)
+            learned_limit = max(100, len(self._clauses) // 3)
+
             while True:
                 conflict = self._propagate()
                 if conflict is not None:

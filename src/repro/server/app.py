@@ -190,44 +190,6 @@ class ApiError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Request metrics
-# ---------------------------------------------------------------------------
-class RequestMetrics:
-    """Per-route request counters and latency stats over the telemetry
-    registry.
-
-    Historically this class kept its own reservoir of recent latencies
-    and reported them as ``p50_ms``/``p95_ms`` — *lifetime*-sounding keys
-    computed from a recency-biased sample.  The stats now come from the
-    registry's ``repro_http_*`` families: percentile keys carry an
-    explicit window label (``_lifetime`` interpolated from the full
-    histogram, plus a ``windows`` sub-dict with true 1/5/15-minute
-    percentiles from the sliding ring).
-    """
-
-    def observe(self, route: str, status: int, seconds: float) -> None:
-        record_http_request(route, status, seconds)
-
-    def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """JSON-ready per-route counters, histogram and latency stats."""
-        errors: Dict[Tuple[str, str], int] = {}
-        for sample in HTTP_ERRORS.snapshot()["samples"]:
-            labels = sample["labels"]
-            errors[(labels["route"], labels["kind"])] = int(sample["value"])
-        snapshot: Dict[str, Dict[str, object]] = {}
-        for route, block in snapshot_histogram_family(HTTP_LATENCY, "route").items():
-            block = dict(block)
-            # The percentile keys say what they measure: lifetime
-            # interpolation vs the windows sub-dict's 1m/5m/15m rings.
-            block["p50_ms_lifetime"] = block.pop("p50_ms")
-            block["p95_ms_lifetime"] = block.pop("p95_ms")
-            block["server_errors"] = errors.get((route, "server"), 0)
-            block["client_errors"] = errors.get((route, "client"), 0)
-            snapshot[route] = block
-        return snapshot
-
-
-# ---------------------------------------------------------------------------
 # Gateway jobs
 # ---------------------------------------------------------------------------
 class _GatewayJob:
@@ -275,7 +237,7 @@ class CompilationGateway:
     """HTTP-facing facade over one :class:`CompilationService`.
 
     Owns the job table (string job ids -> service handles), circuit and
-    target decoding, the request metrics, and the draining shutdown.
+    target decoding, the metrics document, and the draining shutdown.
     ``job_prefix`` namespaces the ids; the sharding router gives every
     worker process a distinct prefix (``s0-``, ``s1-``, ...) so a job id
     alone routes status lookups back to the right shard.
@@ -294,7 +256,6 @@ class CompilationGateway:
         self.durations = durations
         self.job_prefix = job_prefix
         self.max_jobs = max_jobs
-        self.metrics = RequestMetrics()
         self.auth = auth if auth is not None else Authenticator()
         if isinstance(shedding, LoadShedder):
             self.shedder: Optional[LoadShedder] = shedding
@@ -330,34 +291,22 @@ class CompilationGateway:
             thread_name_prefix="repro-gateway-portfolio",
         )
 
-    # -- auth / admission ------------------------------------------------
-    def authorize(self, headers, shed: bool = False):
-        """Admit one request: authenticate, then (on submissions) shed.
+    # -- admission -------------------------------------------------------
+    def shed(self, key) -> None:
+        """Admit one submission by the authenticated ``key`` past the shedder.
 
-        Returns the matched :class:`repro.cluster.ApiKey` (``None`` when
-        auth is not configured).  Raises :class:`ApiError` with the
-        mapped status — 401/403/429 from auth, 503 from the shedder —
-        and ``retry_after`` so clients pace themselves.
+        Raises :class:`ApiError` 503 with ``retry_after`` when the key's
+        priority class is shed at the current saturation.  Shedding is
+        *per-key* admission: anonymous deployments (``key`` is ``None``)
+        keep the plain ServiceSaturatedError contract (503, Retry-After 1).
         """
+        if key is None or self.shedder is None:
+            return
         try:
-            key = self.auth.authenticate(credential_from_headers(headers))
-        except AuthError as error:
-            extra: Dict[str, object] = {"key": error.key_name}
-            if error.status == 429:
-                extra["retry"] = True
-            raise ApiError(error.status, str(error),
-                           retry_after=error.retry_after, **extra) from None
-        # Shedding is *per-key* admission: anonymous deployments keep the
-        # plain ServiceSaturatedError contract (503, Retry-After 1) so a
-        # keyless gateway behaves exactly as before the cluster layer.
-        if shed and key is not None and self.shedder is not None:
-            try:
-                self.shedder.admit(key)
-            except ShedError as error:
-                raise ApiError(503, str(error), retry=True,
-                               retry_after=error.retry_after,
-                               shed=True) from None
-        return key
+            self.shedder.admit(key)
+        except ShedError as error:
+            raise ApiError(503, str(error), retry=True,
+                           retry_after=error.retry_after, shed=True) from None
 
     # -- job events ------------------------------------------------------
     def _on_service_event(self, event: str, info: Dict[str, object]) -> None:
@@ -504,29 +453,6 @@ class CompilationGateway:
             return target
         raise ApiError(400, "'target' must be null, 'D0'/'D1' or an object")
 
-    @staticmethod
-    def _resilience_settings(payload: Dict[str, object]):
-        """Decode a submission's ``timeout``/``on_deadline``/``fallback``."""
-        timeout = payload.get("timeout")
-        if timeout is not None:
-            try:
-                timeout = float(timeout)
-            except (TypeError, ValueError):
-                raise ApiError(400, f"invalid timeout {timeout!r}") from None
-            if timeout < 0:
-                raise ApiError(400, "'timeout' must be >= 0 seconds")
-        on_deadline = payload.get("on_deadline")
-        if on_deadline is not None and on_deadline not in ("raise", "degrade"):
-            raise ApiError(400, f"invalid on_deadline {on_deadline!r}; "
-                                "expected 'raise' or 'degrade'")
-        fallback = payload.get("fallback")
-        if fallback is not None and not isinstance(fallback, (bool, str, list)):
-            raise ApiError(400, "'fallback' must be a bool, a technique key "
-                                "or a list of technique keys")
-        if isinstance(fallback, list):
-            fallback = [str(key) for key in fallback]
-        return timeout, on_deadline, fallback
-
     # -- submission ------------------------------------------------------
     def _new_job(self, name: str, kind: str, label: str) -> _GatewayJob:
         with self._lock:
@@ -562,7 +488,11 @@ class CompilationGateway:
         if not isinstance(options, dict):
             raise ApiError(400, "'options' must be an object")
         use_cache = bool(payload.get("use_cache", True))
-        timeout, on_deadline, fallback = self._resilience_settings(payload)
+        # The deadline fields are checked where the job's Budget is built
+        # (service.submit): a bad one is a ValueError/TypeError -> 400.
+        timeout = payload.get("timeout")
+        on_deadline = payload.get("on_deadline")
+        fallback = payload.get("fallback")
         portfolio = payload.get("portfolio")
         technique = payload.get("technique")
         if portfolio is not None and technique is not None:
@@ -832,6 +762,22 @@ class CompilationGateway:
         """The ``/metrics`` document: service stats + request telemetry."""
         from repro.golden import quality_summary
 
+        # Per-route request stats from the registry's repro_http_*
+        # families.  The percentile keys say what they measure: lifetime
+        # interpolation over the whole histogram, vs the windows
+        # sub-dict's 1m/5m/15m rings.
+        errors: Dict[Tuple[str, str], int] = {}
+        for sample in HTTP_ERRORS.snapshot()["samples"]:
+            labels = sample["labels"]
+            errors[(labels["route"], labels["kind"])] = int(sample["value"])
+        requests: Dict[str, Dict[str, object]] = {}
+        for route, block in snapshot_histogram_family(HTTP_LATENCY, "route").items():
+            block = dict(block)
+            block["p50_ms_lifetime"] = block.pop("p50_ms")
+            block["p95_ms_lifetime"] = block.pop("p95_ms")
+            block["server_errors"] = errors.get((route, "server"), 0)
+            block["client_errors"] = errors.get((route, "client"), 0)
+            requests[route] = block
         return {
             "server": {
                 "version": __version__,
@@ -851,7 +797,7 @@ class CompilationGateway:
             # tested) and the local sections are plain numbers/strings,
             # so nothing needs a coercion pass here.
             "service": self.service.statistics(),
-            "requests": self.metrics.snapshot(),
+            "requests": requests,
             "passes": snapshot_histogram_family(PASS_LATENCY, "pass"),
             # The raw registry view the JSON blocks above are carved
             # from: every family, with windowed rates/percentiles.
@@ -922,7 +868,9 @@ class CompilationGateway:
 # ---------------------------------------------------------------------------
 # HTTP plumbing
 # ---------------------------------------------------------------------------
-#: (method, path regex, gateway dispatch name, metrics label).
+#: (method, path regex, action, metrics label).  The one route table:
+#: the gateway dispatches on the action, the shard router
+#: (:mod:`repro.server.sharding`) groups actions by how it routes them.
 _ROUTES: List[Tuple[str, "re.Pattern[str]", str, str]] = [
     ("GET", re.compile(r"^/healthz$"), "healthz", "GET /healthz"),
     ("GET", re.compile(r"^/metrics$"), "metrics", "GET /metrics"),
@@ -955,33 +903,37 @@ _AUTH_EXEMPT = frozenset({"healthz", "metrics", "drain", "store_entry"})
 _SHED_ACTIONS = frozenset({"submit", "batch", "suite_compile"})
 
 
-class _TextResponse:
-    """A non-JSON response body (Prometheus exposition) + content type."""
+class _Raw:
+    """A non-JSON answer: bytes, or an iterator of byte chunks (a stream).
 
-    __slots__ = ("text", "content_type")
+    ``retry_after`` is ``Retry-After`` header text copied from a relayed
+    answer.
+    """
 
-    def __init__(self, text: str, content_type: str) -> None:
-        self.text = text
+    __slots__ = ("body", "content_type", "retry_after")
+
+    def __init__(self, body: Union[bytes, Iterator[bytes]], content_type: str,
+                 retry_after: Optional[str] = None) -> None:
+        self.body = body
         self.content_type = content_type
+        self.retry_after = retry_after
 
 
-class _EventStream:
-    """A server-sent event response: an iterator of (event, payload)."""
+class _EdgeHandler(BaseHTTPRequestHandler):
+    """The HTTP edge the gateway and the shard router share.
 
-    __slots__ = ("events",)
-
-    def __init__(self, events: Iterator[Tuple[str, Dict[str, object]]]) -> None:
-        self.events = events
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Routes requests onto the owning server's gateway."""
+    One request goes: route through :data:`_ROUTES` (404/405), check the
+    request limits (400/413), authenticate (401/403/429), read the body,
+    then :meth:`_handle` (the subclass) and :meth:`_respond`.  The limits
+    hold before the body is read or the key is checked, so an oversized
+    or malformed request costs neither memory nor a rate-limit token.
+    """
 
     protocol_version = "HTTP/1.1"
     server_version = f"repro-server/{__version__}"
 
-    #: The owning ReproServer sets this per server class copy.
-    gateway: CompilationGateway
+    #: The edge's key set; the owning server binds it.
+    auth: Authenticator
 
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         pass  # Telemetry lives in /metrics, not on stderr.
@@ -995,23 +947,180 @@ class _Handler(BaseHTTPRequestHandler):
     def do_DELETE(self) -> None:  # noqa: N802
         self._dispatch("DELETE")
 
-    # -- internals -------------------------------------------------------
-    def _read_json(self):
+    def _dispatch(self, method: str) -> None:
+        answer = self._answer(method)
+        if answer is not None:
+            self._respond(*answer)
+
+    def _answer(self, method: str):
+        """``(status, payload, retry_after)``, or ``None`` when the client left."""
+        parsed = urlparse(self.path)
+        self.label = f"{method} <unmatched>"
+        try:
+            action, match = self._admit(method, parsed.path)
+            status, payload = self._handle(action, match, parse_qs(parsed.query))
+        except ApiError as error:
+            return error.status, error.payload, error.retry_after
+        except (BrokenPipeError, _ClientGone):
+            self.close_connection = True
+            return None
+        except Exception as error:  # noqa: BLE001 - the server must answer
+            return 500, {"error": f"{type(error).__name__}: {error}"}, None
+        return status, payload, None
+
+    def _admit(self, method: str, path: str):
+        """Route, check the limits, authenticate, read the body."""
+        matched = None
+        path_exists = False
+        for route_method, pattern, action, label in _ROUTES:
+            match = pattern.match(path)
+            if match is None:
+                continue
+            path_exists = True
+            if route_method == method:
+                matched = (action, label, match)
+                break
+        if matched is None:
+            # All unmatched paths share the one "<unmatched>" metrics
+            # label: a scanner probing thousands of distinct URLs must
+            # not grow one label per path.
+            raise ApiError(405 if path_exists else 404,
+                           f"no such resource: {method} {path}")
+        action, self.label, match = matched
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
-            raise ApiError(400, "invalid Content-Length header") from None
+            length = -1
         if length < 0:
-            # rfile.read(-1) would block until client EOF — a held-open
+            # rfile.read(-1) would block until client EOF: a held-open
             # connection would pin this handler thread forever.
             raise ApiError(400, "invalid Content-Length header")
         if length > MAX_BODY_BYTES:
             raise ApiError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-        if length == 0:
-            return {}
-        raw = self.rfile.read(length)
+        if action not in _AUTH_EXEMPT:
+            self._authorize(action)
+        self.body = self.rfile.read(length) if length else b""
+        return action, match
+
+    def _authorize(self, action: str):
+        """The request's :class:`repro.cluster.ApiKey` (``None`` with auth off)."""
         try:
-            return json.loads(raw.decode("utf-8"))
+            return self.auth.authenticate(credential_from_headers(self.headers))
+        except AuthError as error:
+            raise ApiError(error.status, str(error), **error.http_fields()) from None
+
+    def _handle(self, action: str, match, query):
+        """``(status, payload)`` for one admitted request; raises ApiError."""
+        raise NotImplementedError
+
+    def _respond(self, status: int, payload,
+                 retry_after: Optional[float] = None) -> None:
+        """Write one answer: a JSON ``payload`` or a :class:`_Raw` one.
+
+        Errors close the connection: they may answer before the request
+        body was read, and leftover body bytes would be parsed as the
+        next request line.  Streams close it too, having no length; each
+        chunk is flushed as it comes.
+        """
+        if isinstance(payload, _Raw):
+            body, content_type = payload.body, payload.content_type
+            retry_header = payload.retry_after
+        else:
+            body, content_type = json.dumps(payload).encode("utf-8"), "application/json"
+            # Integer seconds per RFC 9110 (rounded up, so a client
+            # honoring the header never retries early).
+            retry_header = (None if retry_after is None
+                            else str(max(1, math.ceil(retry_after))))
+        streamed = not isinstance(body, bytes)
+        if streamed or status >= 400:
+            self.close_connection = True
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            if streamed:
+                self.send_header("Cache-Control", "no-store")
+            else:
+                self.send_header("Content-Length", str(len(body)))
+            if retry_header is not None:
+                self.send_header("Retry-After", retry_header)
+            if self.close_connection:
+                self.send_header("Connection", "close")
+            self.end_headers()
+            if not streamed:
+                self.wfile.write(body)
+                return
+            self.wfile.flush()
+            for chunk in body:
+                self.wfile.write(chunk)
+                self.wfile.flush()
+        except OSError:
+            pass  # Either end went away; the job (if any) keeps running.
+
+
+def _sse_frames(events: Iterator[Tuple[str, Dict[str, object]]]) -> Iterator[bytes]:
+    """Server-sent event frames; heartbeats go out as comment lines."""
+    EVENT_STREAMS_ACTIVE.inc()
+    try:
+        for event, payload in events:
+            if event == "heartbeat":
+                frame = f": heartbeat {payload.get('elapsed_seconds', 0):.0f}\n\n"
+            else:
+                frame = f"event: {event}\ndata: {json.dumps(payload)}\n\n"
+            yield frame.encode("utf-8")
+    finally:
+        EVENT_STREAMS_ACTIVE.dec()
+
+
+class _Handler(_EdgeHandler):
+    """Routes requests onto the owning server's gateway."""
+
+    #: The owning ReproServer sets this per server class copy.
+    gateway: CompilationGateway
+
+    def _dispatch(self, method: str) -> None:
+        started = time.perf_counter()
+        tracer = current_tracer()
+        begin_fields: Dict[str, object] = {"method": method}
+        # A caller's propagation header ("pid:span") stitches its span
+        # tree onto this request's; the structural parent stays local so
+        # per-process trace invariants hold.  Malformed values (anyone
+        # can set a header) are dropped, not trusted.
+        remote = self.headers.get(TRACE_HEADER)
+        if remote and _REMOTE_PARENT_RE.match(remote):
+            begin_fields["remote_parent"] = remote
+        request_token = tracer.begin("http.request", "server", **begin_fields)
+        answer = self._answer(method)
+        plan = active_fault_plan() if answer is not None else None
+        if plan is not None and any(spec.action == "abort"
+                                    for spec in plan.delay("http.response")):
+            # Fault injection: delay and/or drop this response.  The
+            # abort closes the socket without answering — the client sees
+            # a connection error mid-read, the retry territory its
+            # resilience tests exercise.
+            try:
+                self.connection.close()
+            except OSError:
+                pass
+            answer = None
+        if answer is None:
+            tracer.end(request_token, route=self.label, status=0)
+            self.close_connection = True
+            return
+        tracer.end(request_token, route=self.label, status=answer[0])
+        self._respond(*answer)
+        record_http_request(self.label, answer[0], time.perf_counter() - started)
+
+    def _authorize(self, action: str):
+        key = super()._authorize(action)
+        if action in _SHED_ACTIONS:
+            self.gateway.shed(key)
+        return key
+
+    def _read_json(self):
+        if not self.body:
+            return {}
+        try:
+            return json.loads(self.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise ApiError(400, f"request body is not valid JSON: {error}") from None
 
@@ -1056,84 +1165,14 @@ class _Handler(BaseHTTPRequestHandler):
         payload.setdefault("timeout", deadline)
         return payload
 
-    def _dispatch(self, method: str) -> None:
-        started = time.perf_counter()
-        parsed = urlparse(self.path)
-        label = f"{method} <unmatched>"
-        status, payload = 500, {"error": "internal error"}
-        retry_after: Optional[float] = None
-        tracer = current_tracer()
-        begin_fields: Dict[str, object] = {"method": method}
-        # A caller's propagation header ("pid:span") stitches its span
-        # tree onto this request's; the structural parent stays local so
-        # per-process trace invariants hold.  Malformed values (anyone
-        # can set a header) are dropped, not trusted.
-        remote = self.headers.get(TRACE_HEADER)
-        if remote and _REMOTE_PARENT_RE.match(remote):
-            begin_fields["remote_parent"] = remote
-        request_token = tracer.begin("http.request", "server", **begin_fields)
-        try:
-            matched = None
-            path_exists = False
-            for route_method, pattern, action, route_label in _ROUTES:
-                match = pattern.match(parsed.path)
-                if match is None:
-                    continue
-                path_exists = True
-                if route_method == method:
-                    matched = (action, route_label, match)
-                    break
-            if matched is None:
-                # All unmatched paths share the one "<unmatched>" metrics
-                # label — a scanner probing thousands of distinct URLs
-                # must not grow one _RouteStats per path.
-                raise ApiError(405 if path_exists else 404,
-                               f"no such resource: {method} {parsed.path}")
-            action, label, match = matched
-            query = parse_qs(parsed.query)
-            if action not in _AUTH_EXEMPT:
-                self.gateway.authorize(self.headers,
-                                       shed=action in _SHED_ACTIONS)
-            status, payload = self._handle(action, match, query)
-        except ApiError as error:
-            status, payload = error.status, error.payload
-            retry_after = error.retry_after
-        except (BrokenPipeError, _ClientGone):
-            # Client went away mid-request; nothing to answer.
-            tracer.end(request_token, route=label, status=0)
-            self.close_connection = True
-            return
-        except Exception as error:  # noqa: BLE001 - the server must answer
-            status = 500
-            payload = {"error": f"{type(error).__name__}: {error}"}
-        plan = active_fault_plan()
-        if plan is not None:
-            # Fault injection: delay and/or drop this response.  The
-            # abort closes the socket without answering — the client sees
-            # a connection error mid-read, the retry territory its
-            # resilience tests exercise.
-            for spec in plan.delay("http.response"):
-                if spec.action == "abort":
-                    tracer.end(request_token, route=label, status=0)
-                    self.close_connection = True
-                    try:
-                        self.connection.close()
-                    except OSError:
-                        pass
-                    return
-        tracer.end(request_token, route=label, status=status)
-        self._respond(status, payload, retry_after=retry_after)
-        self.gateway.metrics.observe(label, status,
-                                     time.perf_counter() - started)
-
-    def _handle(self, action: str, match, query) -> Tuple[int, Dict[str, object]]:
+    def _handle(self, action: str, match, query) -> Tuple[int, object]:
         gateway = self.gateway
         if action == "healthz":
             return 200, gateway.healthz()
         if action == "metrics":
             if "prometheus" in (query.get("format") or ()):
-                return 200, _TextResponse(gateway.prometheus_document(),
-                                          PROMETHEUS_CONTENT_TYPE)
+                return 200, _Raw(gateway.prometheus_document().encode("utf-8"),
+                                 PROMETHEUS_CONTENT_TYPE)
             return 200, gateway.metrics_snapshot()
         if action == "submit":
             return 202, gateway.submit_payload(
@@ -1145,13 +1184,13 @@ class _Handler(BaseHTTPRequestHandler):
                                       self._query_timeout(query),
                                       is_alive=self._connection_alive)
         if action == "events":
-            return 200, _EventStream(gateway.job_events(
+            return 200, _Raw(_sse_frames(gateway.job_events(
                 match.group("job_id"),
                 timeout=self._query_timeout(query),
-                is_alive=self._connection_alive))
+                is_alive=self._connection_alive)), SSE_CONTENT_TYPE)
         if action == "store_entry":
-            return 200, _TextResponse(
-                gateway.store_entry(match.group("digest")),
+            return 200, _Raw(
+                gateway.store_entry(match.group("digest")).encode("utf-8"),
                 "application/json")
         if action == "cancel":
             return 200, gateway.cancel_job(match.group("job_id"))
@@ -1178,69 +1217,6 @@ class _Handler(BaseHTTPRequestHandler):
                 max(0.0, min(wait, MAX_DRAIN_WAIT_SECONDS)))
         raise ApiError(500, f"unrouted action {action!r}")  # pragma: no cover
 
-    def _respond(self, status: int, payload,
-                 retry_after: Optional[float] = None) -> None:
-        if isinstance(payload, _EventStream):
-            self._respond_sse(payload.events)
-            return
-        if isinstance(payload, _TextResponse):
-            body = payload.text.encode("utf-8")
-            content_type = payload.content_type
-        else:
-            body = json.dumps(payload).encode("utf-8")
-            content_type = "application/json"
-        if status >= 400:
-            # Error paths may answer before the request body was read
-            # (404/405 routing, 413 oversize); leftover body bytes would
-            # be parsed as the next request line on a kept-alive
-            # connection, so errors always close it.
-            self.close_connection = True
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            if retry_after is not None:
-                # Integer seconds per RFC 9110 (rounded up, so a client
-                # honoring the header never retries early).
-                self.send_header("Retry-After",
-                                 str(max(1, int(-(-retry_after // 1)))))
-            if self.close_connection:
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # Client went away; the job (if any) keeps running.
-
-    def _respond_sse(self, events) -> None:
-        """Write one server-sent event stream and close the connection.
-
-        No ``Content-Length`` — the stream's length is unknown — so the
-        connection cannot be kept alive afterwards.  Heartbeats go out
-        as SSE comment lines (``: heartbeat``); every frame is flushed
-        immediately so subscribers see events as they happen.
-        """
-        self.close_connection = True
-        EVENT_STREAMS_ACTIVE.inc()
-        try:
-            self.send_response(200)
-            self.send_header("Content-Type", SSE_CONTENT_TYPE)
-            self.send_header("Cache-Control", "no-store")
-            self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.flush()
-            for event, payload in events:
-                if event == "heartbeat":
-                    frame = f": heartbeat {payload.get('elapsed_seconds', 0):.0f}\n\n"
-                else:
-                    frame = (f"event: {event}\n"
-                             f"data: {json.dumps(payload)}\n\n")
-                self.wfile.write(frame.encode("utf-8"))
-                self.wfile.flush()
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            pass  # Subscriber went away; the job keeps running.
-        finally:
-            EVENT_STREAMS_ACTIVE.dec()
-
 
 class ReproServer(ThreadingHTTPServer):
     """A ``ThreadingHTTPServer`` bound to one :class:`CompilationGateway`."""
@@ -1249,7 +1225,8 @@ class ReproServer(ThreadingHTTPServer):
 
     def __init__(self, address: Tuple[str, int],
                  gateway: CompilationGateway) -> None:
-        handler = type("_BoundHandler", (_Handler,), {"gateway": gateway})
+        handler = type("_BoundHandler", (_Handler,),
+                       {"gateway": gateway, "auth": gateway.auth})
         super().__init__(address, handler)
         self.gateway = gateway
         self._thread: Optional[threading.Thread] = None

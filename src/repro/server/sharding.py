@@ -16,6 +16,12 @@ them with one routing HTTP server:
 * **``/healthz`` and ``/metrics``** fan out to every shard and come back
   aggregated (per-shard documents plus summed counters).
 
+The router's HTTP edge is the gateway's (``repro.server.app``): one
+route table, the same request limits and the same auth rejections.  It
+classifies each request by the table's action name, and relays a
+shard's status, ``Content-Type``, ``Retry-After`` and body unchanged,
+streaming event feeds as the shard writes them.
+
 All shards share one :class:`repro.service.PersistentResultStore`
 directory as their L2 tier.  The store's writes are atomic
 (``os.replace``) and its entries content-addressed, so cross-process
@@ -45,13 +51,19 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple
-from urllib.parse import urlparse
+from http.server import ThreadingHTTPServer
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.api.fingerprints import payload_fingerprint
-from repro.cluster.auth import AuthError, Authenticator, credential_from_headers
+from repro.cluster.auth import Authenticator
 from repro.cluster.backends import _parse_spec, write_peers_file
+from repro.server.app import (
+    DEADLINE_HEADER,
+    ApiError,
+    _EdgeHandler,
+    _Raw,
+    build_server,
+)
 from repro.telemetry.prometheus import (
     CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE,
     merge_prometheus,
@@ -66,20 +78,24 @@ _FORWARD_TIMEOUT_SECONDS = 120.0
 #: compile-deadline hint and the API credential (shards re-check key
 #: *validity*; the router already charged the rate limits).  Everything
 #: else stops at the router.
-_FORWARDED_HEADERS = (TRACE_HEADER, "X-Repro-Deadline", "Authorization",
+_FORWARDED_HEADERS = (TRACE_HEADER, DEADLINE_HEADER, "Authorization",
                       "X-API-Key")
 
-#: Event-stream resources are relayed incrementally, not buffered.
-_EVENTS_PATH = re.compile(r"^/v1/jobs/(?P<job_id>[^/]+)/events$")
+#: How the router serves each action of the gateway's route table
+#: (``repro.server.app._ROUTES``).  Job-affine actions go to the shard
+#: the job id names; body-routed ones to the shard their body hashes to
+#: (failing over); aggregated ones fan out to every shard; internal ones
+#: are the router's own business and answer 404.  The rest (the suite
+#: index) may go to any shard.
+_BY_JOB = frozenset({"status", "result", "events", "cancel"})
+_BY_BODY = frozenset({"submit", "batch", "validate", "suite_compile"})
+_FAN_OUT = frozenset({"healthz", "metrics"})
+_NOT_FORWARDED = frozenset({"drain", "store_entry"})
 
 #: Per-backend store statistics summed across shards in /metrics.
 _STORE_SUMMED = ("total_bytes", "entries", "hits", "misses", "puts",
                  "evictions", "corrupted", "peer_hits", "peer_misses",
                  "peer_errors")
-
-#: Submission resources routed by body fingerprint (prefix match for the
-#: suite-compile resource).
-_BODY_ROUTED = ("/v1/jobs", "/v1/batch", "/v1/circuits/validate", "/v1/suite/")
 
 #: Service counters summed across shards in the aggregated /metrics.
 _SUMMED_COUNTERS = ("submitted", "deduplicated", "completed", "failed",
@@ -100,8 +116,6 @@ _SHARD_RETRY_AFTER_SECONDS = 2.0
 def _shard_main(index: int, host: str, ready, config: Dict,
                 job_prefix: str) -> None:
     """Worker-process entry point: serve one gateway on a free port."""
-    from repro.server.app import build_server
-
     server = build_server(
         host=host,
         port=0,
@@ -217,9 +231,8 @@ class ShardRouter:
             self._shard_ports[index] = port
         self._publish_peers()
 
-        router = self
         handler = type("_BoundRouterHandler", (_RouterHandler,),
-                       {"router": router})
+                       {"router": self, "auth": self._auth})
         self._server = ThreadingHTTPServer((self.host, self._requested_port),
                                            handler)
         self._server.daemon_threads = True
@@ -327,7 +340,7 @@ class ShardRouter:
         if drain:
             for index in list(self._shard_ports):
                 try:
-                    self._forward_to_shard(
+                    self._fetch(
                         index, "POST", "/internal/drain",
                         json.dumps({"timeout": timeout}).encode(),
                         timeout=timeout + 10,
@@ -378,125 +391,56 @@ class ShardRouter:
         # process boots, not 404.
         return index if index < self.shards else None
 
-    def _forward_to_shard(self, index: int, method: str, path: str,
-                          body: Optional[bytes] = None,
-                          timeout: float = _FORWARD_TIMEOUT_SECONDS,
-                          headers: Optional[Dict[str, str]] = None,
-                          ) -> Tuple[int, bytes]:
-        url = self.shard_url(index) + path
+    def _open(self, index: int, method: str, target: str,
+              body: Optional[bytes] = None,
+              timeout: float = _FORWARD_TIMEOUT_SECONDS,
+              headers: Optional[Dict[str, str]] = None):
+        """Send one request to a shard; its answer, read or not.
+
+        An HTTP error status is an answer like any other (the returned
+        ``HTTPError`` has ``status``, ``headers`` and a body); only a
+        shard that cannot be reached raises (``OSError``).
+        """
         request_headers = dict(headers or {})
         if body:
             request_headers["Content-Type"] = "application/json"
         request = urllib.request.Request(
-            url, data=body, method=method, headers=request_headers,
+            self.shard_url(index) + target, data=body or None, method=method,
+            headers=request_headers,
         )
         try:
-            with urllib.request.urlopen(request, timeout=timeout) as response:
-                return response.status, response.read()
+            return urllib.request.urlopen(request, timeout=timeout)
         except urllib.error.HTTPError as error:
-            return error.code, error.read()
+            return error
 
-    @staticmethod
-    def _relayed_headers(headers) -> Dict[str, str]:
-        """The end-to-end headers a client request carries to its shard."""
-        relayed: Dict[str, str] = {}
-        if headers is not None:
-            for name in _FORWARDED_HEADERS:
-                value = headers.get(name)
-                if value is not None:
-                    relayed[name] = value
-        return relayed
+    def _fetch(self, index: int, method: str, target: str,
+               body: Optional[bytes] = None,
+               timeout: float = _FORWARD_TIMEOUT_SECONDS) -> Tuple[int, bytes]:
+        """One shard answer read whole: ``(status, body)``."""
+        with self._open(index, method, target, body, timeout) as response:
+            return response.status, response.read()
 
-    @staticmethod
-    def _shard_down_answer(detail: str) -> Tuple[int, bytes]:
-        """503 + retry hint while a shard's replacement process boots."""
-        return 503, json.dumps({
-            "error": detail,
-            "retry": True,
-            "retry_after": _SHARD_RETRY_AFTER_SECONDS,
-        }).encode()
+    def _forward_job(self, job_id: str, method: str, target: str,
+                     body: bytes, headers: Dict[str, str]):
+        """Forward a job-affine request to the shard the job id names.
 
-    def authorize(self, headers) -> Optional[Tuple[int, bytes]]:
-        """Edge auth decision: ``None`` admits, else the rejection answer.
-
-        The router charges each request's rate limit and quota exactly
-        once here; the shard it forwards to re-checks only validity.
+        Job ids are shard-affine: a dead shard's jobs cannot fail over,
+        so this answers 503 until the replacement is up (which will then
+        report them 404 — they died with the process).
         """
-        if not self._auth.enabled:
-            return None
-        credential = (credential_from_headers(headers)
-                      if headers is not None else None)
+        index = self.shard_for_job(job_id)
+        if index is None:
+            raise ApiError(404, f"unknown job {job_id!r}")
+        if index not in self._shard_ports:
+            raise _shard_down(f"shard {index} is restarting; job {job_id!r} "
+                              "state is unavailable")
         try:
-            self._auth.authenticate(credential)
-        except AuthError as error:
-            payload: Dict[str, object] = {"error": str(error),
-                                          "key": error.key_name}
-            if error.retry_after is not None:
-                payload["retry_after"] = error.retry_after
-            if error.status == 429:
-                payload["retry"] = True
-            return error.status, json.dumps(payload).encode()
-        return None
-
-    def route(self, method: str, path: str, query: str, body: bytes,
-              headers=None) -> Tuple[int, bytes, str]:
-        """Route one request; returns ``(status, body bytes, content type)``.
-
-        ``headers`` (a mapping, e.g. the handler's message object) feeds
-        the end-to-end relay: trace propagation, deadline and credential
-        headers travel to the shard, everything else stops here.
-        """
-        if path.startswith("/v1/"):
-            rejected = self.authorize(headers)
-            if rejected is not None:
-                return rejected[0], rejected[1], "application/json"
-        if path == "/metrics" and "format=prometheus" in (query or ""):
-            status, answer = self._aggregate_prometheus()
-            return status, answer, PROMETHEUS_CONTENT_TYPE
-        status, answer = self._route_json(method, path, query, body,
-                                          self._relayed_headers(headers))
-        return status, answer, "application/json"
-
-    def _route_json(self, method: str, path: str, query: str, body: bytes,
-                    relayed: Dict[str, str]) -> Tuple[int, bytes]:
-        target = path if not query else f"{path}?{query}"
-        if path in ("/healthz", "/metrics"):
-            return self._aggregate(path)
-        if path.startswith("/internal/"):
-            # The quiesce hook is the router's own business, never remote.
-            return 404, json.dumps({"error": "no such resource"}).encode()
-        if path.startswith("/v1/jobs/"):
-            job_id = path.split("/")[3]
-            index = self.shard_for_job(job_id)
-            if index is None:
-                return 404, json.dumps(
-                    {"error": f"unknown job {job_id!r}"}).encode()
-            # Job ids are shard-affine: a dead shard's jobs cannot fail
-            # over, so answer 503 until the replacement is up (which
-            # will then report them 404 — they died with the process).
-            if index not in self._shard_ports:
-                return self._shard_down_answer(
-                    f"shard {index} is restarting; job {job_id!r} state "
-                    "is unavailable")
-            try:
-                return self._forward_to_shard(index, method, target,
-                                              body or None, headers=relayed)
-            except OSError:
-                return self._shard_down_answer(
-                    f"shard {index} is unreachable")
-        if method == "POST" and any(path == p or (p.endswith("/") and
-                                                  path.startswith(p))
-                                    for p in _BODY_ROUTED):
-            preferred = self.shard_for_body(body, path)
-            return self._forward_failover(preferred, method, target, body,
-                                          relayed)
-        # Shard-agnostic reads (e.g. GET /v1/suite): any shard can answer.
-        return self._forward_failover(0, method, target, body, relayed)
+            return self._open(index, method, target, body, headers=headers)
+        except OSError:
+            raise _shard_down(f"shard {index} is unreachable") from None
 
     def _forward_failover(self, preferred: int, method: str, target: str,
-                          body: bytes,
-                          headers: Optional[Dict[str, str]] = None,
-                          ) -> Tuple[int, bytes]:
+                          body: bytes, headers: Dict[str, str]):
         """Forward to ``preferred``, failing over to any live shard.
 
         Cache affinity is best-effort: a submission whose home shard is
@@ -509,11 +453,10 @@ class ShardRouter:
             if index not in self._shard_ports:
                 continue
             try:
-                return self._forward_to_shard(index, method, target,
-                                              body or None, headers=headers)
+                return self._open(index, method, target, body, headers=headers)
             except OSError:
                 continue
-        return self._shard_down_answer("no shard is currently available")
+        raise _shard_down("no shard is currently available")
 
     def _aggregate_prometheus(self) -> Tuple[int, bytes]:
         """Fan the Prometheus scrape out and concatenate shard documents.
@@ -525,7 +468,7 @@ class ShardRouter:
         status = 200
         for index in sorted(self._shard_ports):
             try:
-                shard_status, raw = self._forward_to_shard(
+                shard_status, raw = self._fetch(
                     index, "GET", "/metrics?format=prometheus")
             except OSError:
                 status = 502
@@ -536,13 +479,13 @@ class ShardRouter:
             documents.append(raw.decode("utf-8", "replace"))
         return status, merge_prometheus(documents).encode("utf-8")
 
-    def _aggregate(self, path: str) -> Tuple[int, bytes]:
+    def _aggregate(self, path: str) -> Tuple[int, Dict[str, object]]:
         """Fan ``/healthz`` or ``/metrics`` out to every shard and merge."""
         documents: Dict[str, object] = {}
         status = 200
         for index in sorted(self._shard_ports):
             try:
-                shard_status, raw = self._forward_to_shard(index, "GET", path)
+                shard_status, raw = self._fetch(index, "GET", path)
                 document = json.loads(raw.decode("utf-8"))
             except (OSError, ValueError):
                 shard_status, document = 502, {"error": "shard unreachable"}
@@ -590,160 +533,64 @@ class ShardRouter:
                 "stores": stores,
                 "per_shard": documents,
             }
-        return status, json.dumps(merged).encode()
+        return status, merged
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
-    """Thin relay: read the request, ask the router, stream the answer."""
+def _shard_down(detail: str) -> ApiError:
+    """503 + retry hint while a shard's replacement process boots."""
+    return ApiError(503, detail, retry=True,
+                    retry_after=_SHARD_RETRY_AFTER_SECONDS)
 
-    protocol_version = "HTTP/1.1"
+
+def _relayed(response) -> _Raw:
+    """A shard's answer as the router's: Content-Type, Retry-After, body.
+
+    An answer without ``Content-Length`` (an event stream) is relayed
+    chunk by chunk as the shard writes it — buffering would hold every
+    event until the job ended and defeat the stream.
+    """
+    if response.headers.get("Content-Length") is not None:
+        with response:
+            body = response.read()
+    else:
+        body = _chunks(response)
+    return _Raw(body, response.headers.get("Content-Type", "application/json"),
+                response.headers.get("Retry-After"))
+
+
+def _chunks(response) -> Iterator[bytes]:
+    """Whatever the shard's socket has (``read1``), until it closes."""
+    with response:
+        while True:
+            chunk = response.read1(8192)
+            if not chunk:
+                return
+            yield chunk
+
+
+class _RouterHandler(_EdgeHandler):
+    """The router's edge: admit the request, then route it by action."""
+
     router: ShardRouter
 
-    def log_message(self, format: str, *args: object) -> None:  # noqa: A002
-        pass
-
-    def do_GET(self) -> None:  # noqa: N802
-        self._relay("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._relay("POST")
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._relay("DELETE")
-
-    def _relay(self, method: str) -> None:
-        parsed = urlparse(self.path)
-        if method == "GET" and _EVENTS_PATH.match(parsed.path):
-            # Event streams must flow through incrementally — buffering
-            # the whole response would hold every event until the job
-            # ended and defeat the stream.
-            self._relay_stream(parsed)
-            return
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = -1
-        if length < 0:  # Malformed/negative: never block on read(-1).
-            answer = json.dumps({"error": "invalid Content-Length header"}).encode()
-            self.close_connection = True
-            self.send_response(400)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(answer)))
-            self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(answer)
-            return
-        body = self.rfile.read(length) if length else b""
-        content_type = "application/json"
-        try:
-            status, answer, content_type = self.router.route(
-                method, parsed.path, parsed.query, body, self.headers)
-        except OSError as error:
-            status = 502
-            answer = json.dumps({"error": f"shard unreachable: {error}"}).encode()
-        except Exception as error:  # noqa: BLE001 - the router must answer
-            status = 500
-            answer = json.dumps(
-                {"error": f"{type(error).__name__}: {error}"}).encode()
-        retry_after: Optional[float] = None
-        if status in (429, 503):
-            try:
-                retry_after = float(json.loads(answer).get("retry_after"))
-            except (TypeError, ValueError):
-                retry_after = None
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(answer)))
-            if retry_after is not None:
-                self.send_header("Retry-After",
-                                 str(max(1, int(-(-retry_after // 1)))))
-            self.end_headers()
-            self.wfile.write(answer)
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-
-    def _send_buffered(self, status: int, answer: bytes,
-                       retry_after: Optional[float] = None) -> None:
-        """One JSON answer on the streaming path (errors before commit)."""
-        self.close_connection = True
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(answer)))
-            if retry_after is not None:
-                self.send_header("Retry-After",
-                                 str(max(1, int(-(-retry_after // 1)))))
-            self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(answer)
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-
-    def _relay_stream(self, parsed) -> None:
-        """Relay ``GET /v1/jobs/{id}/events`` chunk-by-chunk.
-
-        Edge auth applies exactly as on buffered routes; the shard's
-        SSE bytes are then copied through as they arrive (``read1``
-        returns whatever the socket has) with a flush per chunk.
-        """
+    def _handle(self, action: str, match, query) -> Tuple[int, object]:
         router = self.router
-        rejected = router.authorize(self.headers)
-        if rejected is not None:
-            status, answer = rejected
-            retry_after = None
-            try:
-                retry_after = float(json.loads(answer).get("retry_after"))
-            except (TypeError, ValueError):
-                pass
-            self._send_buffered(status, answer, retry_after)
-            return
-        job_id = _EVENTS_PATH.match(parsed.path).group("job_id")
-        index = router.shard_for_job(job_id)
-        if index is None:
-            self._send_buffered(404, json.dumps(
-                {"error": f"unknown job {job_id!r}"}).encode())
-            return
-        if index not in router._shard_ports:
-            status, answer = router._shard_down_answer(
-                f"shard {index} is restarting; job {job_id!r} events are "
-                "unavailable")
-            self._send_buffered(status, answer,
-                                _SHARD_RETRY_AFTER_SECONDS)
-            return
-        target = parsed.path if not parsed.query else \
-            f"{parsed.path}?{parsed.query}"
-        request = urllib.request.Request(
-            router.shard_url(index) + target,
-            headers=router._relayed_headers(self.headers))
-        try:
-            response = urllib.request.urlopen(
-                request, timeout=_FORWARD_TIMEOUT_SECONDS)
-        except urllib.error.HTTPError as error:
-            self._send_buffered(error.code, error.read())
-            return
-        except OSError:
-            status, answer = router._shard_down_answer(
-                f"shard {index} is unreachable")
-            self._send_buffered(status, answer, _SHARD_RETRY_AFTER_SECONDS)
-            return
-        self.close_connection = True
-        try:
-            with response:
-                self.send_response(response.status)
-                self.send_header(
-                    "Content-Type",
-                    response.headers.get("Content-Type",
-                                         "text/event-stream"))
-                self.send_header("Cache-Control", "no-store")
-                self.send_header("Connection", "close")
-                self.end_headers()
-                self.wfile.flush()
-                while True:
-                    chunk = response.read1(8192)
-                    if not chunk:
-                        break
-                    self.wfile.write(chunk)
-                    self.wfile.flush()
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            pass  # Either side went away; the job keeps running.
+        if action in _FAN_OUT:
+            if "prometheus" in (query.get("format") or ()):
+                status, text = router._aggregate_prometheus()
+                return status, _Raw(text, PROMETHEUS_CONTENT_TYPE)
+            return router._aggregate(match.string)
+        if action in _NOT_FORWARDED:
+            raise ApiError(404, f"no such resource: {self.command} {match.string}")
+        # End-to-end headers travel to the shard; everything else stops here.
+        headers = {name: self.headers[name] for name in _FORWARDED_HEADERS
+                   if name in self.headers}
+        if action in _BY_JOB:
+            response = router._forward_job(match.group("job_id"), self.command,
+                                           self.path, self.body, headers)
+        else:
+            preferred = (router.shard_for_body(self.body, match.string)
+                         if action in _BY_BODY else 0)
+            response = router._forward_failover(preferred, self.command,
+                                                self.path, self.body, headers)
+        return response.status, _relayed(response)

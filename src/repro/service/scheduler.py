@@ -529,7 +529,7 @@ class CompilationService:
                     use_cache=use_cache,
                     options=effective,
                     trace_context=capture_context(),
-                    timeout=timeout,
+                    timeout=budget.timeout,
                     budget=budget,
                 )
                 job.fronts.append(front)

@@ -8,8 +8,9 @@ event (see :mod:`repro.trace.schema` for the checked-in schema): a span
 explicit span ids, so traces merged across processes still reconstruct.
 
 Tracing is **opt-in and near-zero-overhead when off**: every hook in the
-compile stack first checks the module-level :func:`tracing_active` flag —
-a single global ``bool`` read — and bails out before building any event.
+compile stack first checks whether the tracer's probe source is attached
+to :mod:`repro.probe` — one module read while nothing is attached — and
+bails out before building any event.
 The active tracer is resolved through :func:`current_tracer`, which
 consults a context-variable scope first (per-``compile(trace=...)``
 overrides, cross-thread span resumption) and the installed global tracer
@@ -37,7 +38,8 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional, Tuple, Union
 
-from repro.probe import CONFLICT_MILESTONE, Probe, attach, detach
+from repro import probe as _probe
+from repro.probe import CONFLICT_MILESTONE, Probe, attach, attached, detach
 
 #: Sampling schedule of the ``smt.check`` and ``omt.round`` events: the
 #: first this many checks (rounds) are all traced, later ones only every
@@ -47,14 +49,6 @@ from repro.probe import CONFLICT_MILESTONE, Probe, attach, detach
 #: trace sum to the solver's counters.
 TRACE_HEAD = 32
 TRACE_STRIDE = 8
-
-#: Fast-path switch read by every instrumentation hook.  True while a
-#: global tracer is installed or at least one scoped activation is live.
-_ACTIVE = False
-
-#: Number of live activations (global install counts as one).
-_ACTIVE_COUNT = 0
-_ACTIVE_LOCK = threading.Lock()
 
 #: Process-wide span id allocator (``next`` on ``count`` is atomic under
 #: the GIL).  Span ids are unique per process; readers key by (pid, span).
@@ -80,26 +74,13 @@ class _Scope:
         self.span_id = span_id
 
 
-def _activate() -> None:
-    global _ACTIVE, _ACTIVE_COUNT
-    with _ACTIVE_LOCK:
-        _ACTIVE_COUNT += 1
-        _ACTIVE = True
-    attach(_traced)
-
-
-def _deactivate() -> None:
-    global _ACTIVE, _ACTIVE_COUNT
-    with _ACTIVE_LOCK:
-        if _ACTIVE_COUNT > 0:
-            detach(_traced)
-        _ACTIVE_COUNT = max(0, _ACTIVE_COUNT - 1)
-        _ACTIVE = _ACTIVE_COUNT > 0
-
-
 def tracing_active() -> bool:
-    """True when any tracer (global or scoped) may receive events."""
-    return _ACTIVE
+    """True when any tracer (global or scoped) may receive events.
+
+    The probe source :func:`_traced` is attached once per live
+    activation (the global install counts as one).
+    """
+    return attached(_traced)
 
 
 class NullTracer:
@@ -324,13 +305,13 @@ class Tracer:
         via :func:`resume_context`, for adopting a captured span as the
         parent on a worker thread.
         """
-        _activate()
+        attach(_traced)
         reset = _SCOPE.set(_Scope(self, parent))
         try:
             yield self
         finally:
             _SCOPE.reset(reset)
-            _deactivate()
+            detach(_traced)
 
     def __enter__(self) -> "Tracer":
         return self
@@ -367,7 +348,7 @@ def current_tracer() -> Union[Tracer, NullTracer]:
     Scoped activations (``compile(trace=...)``, resumed job contexts)
     take precedence over the globally installed tracer.
     """
-    if not _ACTIVE:
+    if _probe._LIVE is None or not attached(_traced):
         return NULL_TRACER
     scope = _SCOPE.get()
     if scope is not None and not scope.tracer.closed:
@@ -536,11 +517,11 @@ def start_tracing(
             tracer = Tracer(path, **tracer_options)
         if _GLOBAL is not None and _GLOBAL is not tracer:
             _GLOBAL.close()
-            _deactivate()
+            detach(_traced)
         elif _GLOBAL is tracer:
             return tracer
         _GLOBAL = tracer
-        _activate()
+        attach(_traced)
         if not _ATEXIT_REGISTERED:
             atexit.register(_close_global_at_exit)
             _ATEXIT_REGISTERED = True
@@ -555,7 +536,7 @@ def stop_tracing() -> None:
             return
         _GLOBAL.close()
         _GLOBAL = None
-        _deactivate()
+        detach(_traced)
 
 
 def global_tracer() -> Optional[Tracer]:
@@ -607,13 +588,11 @@ def scoped_tracer(
         yield current_tracer()
         return
     if target is False:
-        _activate()  # Keep _ACTIVE truthful while the null scope is live.
         reset = _SCOPE.set(_Scope(NULL_TRACER, None))  # type: ignore[arg-type]
         try:
             yield NULL_TRACER
         finally:
             _SCOPE.reset(reset)
-            _deactivate()
         return
     if target is True:
         tracer = _GLOBAL

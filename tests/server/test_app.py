@@ -224,6 +224,21 @@ class TestValidationErrors:
         finally:
             connection.close()
 
+    def test_oversized_content_length_is_413_before_the_body(self, server):
+        import http.client
+
+        from repro.server.app import MAX_BODY_BYTES
+
+        connection = http.client.HTTPConnection(server.host, server.port,
+                                                timeout=10)
+        try:
+            connection.putrequest("POST", "/v1/jobs")
+            connection.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            connection.endheaders()
+            assert connection.getresponse().status == 413
+        finally:
+            connection.close()
+
     def test_unknown_technique_400_lists_available_keys(self, client):
         try:
             client.submit(QASM_BELL_CHAIN, technique="definitely_not_a_key")

@@ -1,9 +1,12 @@
 """The multi-process shard router: routing rules and one real deployment."""
 
+import http.client
+
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.server import ReproClient, ShardRouter
+from repro.server.app import MAX_BODY_BYTES
 
 
 class TestRoutingRules:
@@ -52,6 +55,15 @@ class TestRoutingRules:
         with pytest.raises(TypeError):
             ShardRouter(shards=2, store=object())
 
+    def test_every_gateway_action_has_a_routing_group(self):
+        from repro.server import sharding
+        from repro.server.app import _ROUTES
+
+        groups = [sharding._BY_JOB, sharding._BY_BODY, sharding._FAN_OUT,
+                  sharding._NOT_FORWARDED, {"suite"}]
+        actions = [action for _, _, action, _ in _ROUTES]
+        assert sorted(actions) == sorted(a for group in groups for a in group)
+
 
 class TestShardedDeployment:
     """One real 2-process deployment (compact: processes are not free)."""
@@ -90,6 +102,25 @@ class TestShardedDeployment:
             client.job_status("s7-j1")  # No shard 7.
         with pytest.raises(JobNotFoundError):
             client.job_status("bogus")
+
+    @pytest.mark.parametrize("length, status", [
+        ("-1", 400),
+        ("banana", 400),
+        (str(MAX_BODY_BYTES + 1), 413),
+    ])
+    def test_request_limits_hold_before_the_body_is_read(
+            self, deployment, length, status):
+        """A header-only request: the router must answer, not wait."""
+        router, client = deployment
+        connection = http.client.HTTPConnection(router.host, router.port,
+                                                timeout=10)
+        try:
+            connection.putrequest("POST", "/v1/jobs")
+            connection.putheader("Content-Length", length)
+            connection.endheaders()
+            assert connection.getresponse().status == status
+        finally:
+            connection.close()
 
     def test_health_and_metrics_aggregate_across_shards(self, deployment):
         router, client = deployment

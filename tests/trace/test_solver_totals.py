@@ -35,6 +35,34 @@ def test_omt_trace_deltas_sum_to_result_statistics(tmp_path, monkeypatch):
     assert _delta_sum(events, "sat.restart", "d_restarts") == stats["sat_restarts"]
 
 
+def test_omt_telemetry_counts_match_result_statistics(monkeypatch):
+    # The level-0 propagation before the search loop, and the early
+    # UNSAT returns after it, are counted as well.
+    from repro.telemetry.instruments import SOLVER_EVENTS
+    from repro.telemetry.registry import (
+        disable_telemetry,
+        enable_telemetry,
+        telemetry_enabled,
+    )
+
+    monkeypatch.setattr(exact, "MAX_COMBINATIONS", 0)
+    events = ("propagations", "conflicts", "decisions")
+    was_enabled = telemetry_enabled()
+    enable_telemetry()
+    try:
+        before = {event: SOLVER_EVENTS.labels(event).value for event in events}
+        result = repro.compile(quantum_volume_circuit(3, seed=1), spin_qubit_target(3),
+                               "sat_p", use_cache=False, max_improvement_rounds=50)
+        delta = {event: SOLVER_EVENTS.labels(event).value - before[event]
+                 for event in events}
+    finally:
+        if not was_enabled:
+            disable_telemetry()
+    stats = result.statistics
+    assert stats["selection"] == "omt"
+    assert delta == {event: stats[f"sat_{event}"] for event in events}
+
+
 def test_unbounded_objective_closes_its_span(tmp_path):
     from repro.smt import Optimize, Real, RealVal
     from repro.trace import Tracer
